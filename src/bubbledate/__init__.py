@@ -15,9 +15,7 @@ from .asymptotics import (
     bn_decompose,
     emergence_limit_draws,
     recovery_limit_draws,
-    sample_emergence_limit,
     sample_ou_path,
-    sample_recovery_limit,
 )
 from .dgp import (
     ErrorSpec,
@@ -26,19 +24,15 @@ from .dgp import (
     VolatilityScaled,
     batch_paths,
     generate_errors,
-    path_from_errors,
     simulate,
-    variance_profile,
 )
 from .estimator import (
     BicReport,
-    BreakScan,
     DegenerateSegmentError,
     EmptyRangeError,
     ModelChoice,
     PrefixMoments,
     SegmentFit,
-    argmin_break,
     bic_select,
     build_prefix_moments,
     estimate_dates,

@@ -37,8 +37,6 @@ __all__ = [
     "ZeroLongRunVarianceError",
     "bn_decompose",
     "sample_ou_path",
-    "sample_recovery_limit",
-    "sample_emergence_limit",
     "recovery_limit_draws",
     "emergence_limit_draws",
 ]
@@ -57,15 +55,13 @@ class Discretization:
     """Grid controls shared by the limit-law samplers.
 
     ``step`` is the grid spacing, ``v_max`` the half-width of the argmax
-    search window, ``ou_horizon`` the extra horizon carried beyond v_max
-    when building the tail process, and ``paths`` the default number of
-    draws for batch sampling.
+    search window, and ``ou_horizon`` the extra horizon carried beyond
+    v_max when building the tail process.
     """
 
     step: float = 0.01
     v_max: float = 50.0
     ou_horizon: float = 10.0
-    paths: int = 10_000
 
     def __post_init__(self):
         problems = []
@@ -77,8 +73,6 @@ class Discretization:
             problems.append(f"step must not exceed v_max/100, got step={self.step}, v_max={self.v_max}")
         if not (self.ou_horizon > 0.0 and math.isfinite(self.ou_horizon)):
             problems.append(f"ou_horizon must be positive, got {self.ou_horizon}")
-        if self.paths < 1:
-            problems.append(f"paths must be at least 1, got {self.paths}")
         if problems:
             raise ConfigError(problems)
 
@@ -252,31 +246,9 @@ class LimitSample:
     rejections: int
 
 
-def sample_recovery_limit(
-    c_b: float,
-    disc: Optional[Discretization] = None,
-    seed_or_rng=0,
-    correction: Optional[LinearProcessCoeffs] = None,
-) -> float:
-    """One draw from the recovery-date limit law.
-
-    ``correction`` supplies moving-average coefficients whose long-run
-    decomposition adjusts the |v|/2 penalty on both branches; without it
-    the white-noise law is sampled.
-    """
-    if c_b <= 0.0:
-        raise ConfigError([f"c_b must be positive, got {c_b}"])
-    disc = disc or Discretization.default(c_b)
-    disc.require_horizon(c_b)
-    bn = bn_decompose(correction) if correction is not None else None
-    rng = as_generator(seed_or_rng)
-    value, _ = _one_recovery_draw(c_b, disc, rng, bn)
-    return value
-
-
 def recovery_limit_draws(
     c_b: float,
-    draws: Optional[int] = None,
+    draws: int = 10_000,
     disc: Optional[Discretization] = None,
     seed: int = 0,
     correction: Optional[LinearProcessCoeffs] = None,
@@ -290,8 +262,6 @@ def recovery_limit_draws(
         raise ConfigError([f"c_b must be positive, got {c_b}"])
     disc = disc or Discretization.default(c_b)
     disc.require_horizon(c_b)
-    if draws is None:
-        draws = disc.paths
     bn = bn_decompose(correction) if correction is not None else None
     values = np.empty(draws, dtype=np.float64)
     rejections = 0
@@ -331,23 +301,9 @@ def _one_emergence_draw(tau_e: float, disc: Discretization, rng) -> tuple:
         return float(v_grid[int(np.argmax(values))]), rejections
 
 
-def sample_emergence_limit(
-    tau_e: float,
-    disc: Optional[Discretization] = None,
-    seed_or_rng=0,
-) -> float:
-    """One draw from the emergence-date limit law."""
-    if not (0.0 < tau_e < 1.0):
-        raise ConfigError([f"tau_e must lie in (0, 1), got {tau_e}"])
-    disc = disc or Discretization()
-    rng = as_generator(seed_or_rng)
-    value, _ = _one_emergence_draw(tau_e, disc, rng)
-    return value
-
-
 def emergence_limit_draws(
     tau_e: float,
-    draws: Optional[int] = None,
+    draws: int = 10_000,
     disc: Optional[Discretization] = None,
     seed: int = 0,
 ) -> LimitSample:
@@ -355,8 +311,6 @@ def emergence_limit_draws(
     if not (0.0 < tau_e < 1.0):
         raise ConfigError([f"tau_e must lie in (0, 1), got {tau_e}"])
     disc = disc or Discretization()
-    if draws is None:
-        draws = disc.paths
     values = np.empty(draws, dtype=np.float64)
     rejections = 0
     for i in range(draws):

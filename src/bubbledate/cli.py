@@ -126,7 +126,8 @@ def cmd_estimate(args) -> int:
     )
     series = dataio.read_series(spec)
     trimming = TrimmingPolicy(args.trim)
-    est = estimate_dates(series, trimming)
+    report = bic_select(series, trimming) if args.bic else None
+    est = report.estimates if args.bic else estimate_dates(series, trimming)
     labels = series.labels
     payload = {
         "schema_version": dataio.SCHEMA_VERSION,
@@ -139,7 +140,6 @@ def cmd_estimate(args) -> int:
         },
     }
     if args.bic:
-        report = bic_select(series, trimming)
         payload["bic"] = {
             "values": {m.value: (None if math.isinf(v) else v) for m, v in report.bic.items()},
             "chosen": report.chosen.value,
@@ -224,7 +224,7 @@ def cmd_limitdist(args) -> int:
     horizon = args.horizon
     if horizon is None:
         horizon = max(10.0 / args.cb, 10.0) if args.law == "recovery" else 10.0
-    disc = Discretization(step=args.step, v_max=args.vmax, ou_horizon=horizon, paths=args.draws)
+    disc = Discretization(step=args.step, v_max=args.vmax, ou_horizon=horizon)
     if args.law == "recovery":
         sample = recovery_limit_draws(
             args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=correction

@@ -25,9 +25,7 @@ __all__ = [
     "ErrorSpec",
     "generate_errors",
     "simulate",
-    "path_from_errors",
     "batch_paths",
-    "variance_profile",
 ]
 
 # Default pre-sample length for linear-process errors.  Must cover the
@@ -110,9 +108,9 @@ def batch_paths(config: DgpConfig, errors: np.ndarray) -> np.ndarray:
     """Run the regime recursion on a (reps, T) error matrix.
 
     Returns a (reps, T+1) array whose column 0 is y_0.  The recursion is
-    applied one time step at a time with identical elementwise operations
-    to the single-path case, so batched and per-path simulation agree bit
-    for bit.
+    applied one time step at a time with the same elementwise operations
+    on every row, so row r of a batch equals, bit for bit, the one-row
+    batch of row r's errors.
     """
     errors = np.atleast_2d(np.asarray(errors, dtype=np.float64))
     reps, T = errors.shape
@@ -137,36 +135,9 @@ def batch_paths(config: DgpConfig, errors: np.ndarray) -> np.ndarray:
     return y
 
 
-def path_from_errors(config: DgpConfig, errors: np.ndarray) -> np.ndarray:
-    """Single-path regime recursion; returns y_0 .. y_T."""
-    return batch_paths(config, np.asarray(errors, dtype=np.float64)[np.newaxis, :])[0]
-
-
 def simulate(config: DgpConfig, errors: ErrorSpec, seed_or_rng) -> Series:
     """Simulate one path and wrap it as a Series carrying its y_0."""
     eps = generate_errors(errors, config.T, seed_or_rng)
-    y = path_from_errors(config, eps)
+    y = batch_paths(config, eps[np.newaxis, :])[0]
     return Series(y[1:], y0=float(y[0]))
 
-
-def variance_profile(profile: VolatilityProfile, tau: float) -> float:
-    """Normalized cumulative squared volatility kappa(tau) in [0, 1].
-
-    kappa(tau) = int_0^tau omega(s)^2 ds / int_0^1 omega(s)^2 ds.  The
-    squared schedule is integrated in both numerator and denominator, so
-    kappa is the fraction of total error variance accumulated by time
-    fraction tau; kappa(1) = 1 and kappa is nondecreasing.  This is a
-    diagnostic only; nothing downstream consumes it.
-    """
-    if not (0.0 <= tau <= 1.0):
-        raise ConfigError([f"tau must lie in [0, 1], got {tau}"])
-    if isinstance(profile, ConstantVolatility):
-        return tau
-    if isinstance(profile, SingleShiftVolatility):
-        s0sq = profile.sigma0 ** 2
-        s1sq = profile.sigma1 ** 2
-        ts = profile.tau_sigma
-        num = s0sq * min(tau, ts) + s1sq * max(0.0, tau - ts)
-        den = s0sq * ts + s1sq * (1.0 - ts)
-        return num / den
-    raise ConfigError([f"unsupported volatility profile: {type(profile).__name__}"])

@@ -31,7 +31,6 @@ from .types import (
 __all__ = [
     "PrefixMoments",
     "SegmentFit",
-    "BreakScan",
     "ModelChoice",
     "BicReport",
     "DegenerateSegmentError",
@@ -39,7 +38,6 @@ __all__ = [
     "build_prefix_moments",
     "fit_segment",
     "ssr_split",
-    "argmin_break",
     "estimate_dates",
     "bic_select",
 ]
@@ -97,6 +95,7 @@ class BreakScan:
     k_hat: int
     curve: np.ndarray = field(repr=False)  # rows (k, SSR) for every evaluated candidate
     skipped: np.ndarray = field(repr=False)  # candidates dropped as degenerate
+    segment_ssr: tuple  # SSRs of [seg_start, k_hat] and [k_hat + 1, seg_end]
 
 
 class ModelChoice(Enum):
@@ -225,12 +224,19 @@ def _scan(moments: PrefixMoments, seg_start: int, seg_end: int, k_lo: int, k_hi:
     tied = valid_ssr <= best + SSR_TIE_REL * abs(best)
     k_hat = int(valid_ks[tied][0])
     curve = np.column_stack([valid_ks.astype(np.float64), valid_ssr])
-    return BreakScan(k_hat=k_hat, curve=curve, skipped=ks[~ok])
+    i = k_hat - k_lo
+    return BreakScan(k_hat=k_hat, curve=curve, skipped=ks[~ok],
+                     segment_ssr=(float(ssr1[i]), float(ssr2[i])))
 
 
-def argmin_break(moments: PrefixMoments, k_lo: int, k_hi: int) -> BreakScan:
-    """Minimize the full-sample two-segment SSR over k in [k_lo, k_hi]."""
-    return _scan(moments, 1, moments.T, k_lo, k_hi)
+def _subsample_scan(moments: PrefixMoments, seg_start: int, seg_end: int, k_range: tuple) -> tuple:
+    """Second-stage scan: (scan, scanned range, unavailable reason)."""
+    if k_range[0] > k_range[1]:
+        return None, None, UnavailableReason.BOUNDARY_VIOLATION
+    try:
+        return _scan(moments, seg_start, seg_end, *k_range), k_range, None
+    except DegenerateSegmentError:
+        return None, k_range, UnavailableReason.DEGENERATE
 
 
 def estimate_dates(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) -> BreakEstimates:
@@ -253,58 +259,24 @@ def estimate_dates(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) 
     range_c = (trimming.k_lo(T), trimming.k_hi(T))
     scan_c = _scan(moments, 1, T, range_c[0], range_c[1])
     k_c = scan_c.k_hat
-
-    k_e = None
-    reason_e = None
-    curve_e = None
-    range_e = (margin, k_c - margin)
-    if range_e[0] > range_e[1]:
-        reason_e = UnavailableReason.BOUNDARY_VIOLATION
-        range_e = None
-    else:
-        try:
-            scan_e = _scan(moments, 1, k_c, range_e[0], range_e[1])
-            k_e = scan_e.k_hat
-            curve_e = scan_e.curve
-        except DegenerateSegmentError:
-            reason_e = UnavailableReason.DEGENERATE
-
-    k_r = None
-    reason_r = None
-    curve_r = None
-    range_r = (k_c + margin + 1, trimming.k_hi(T))
-    if range_r[0] > range_r[1]:
-        reason_r = UnavailableReason.BOUNDARY_VIOLATION
-        range_r = None
-    else:
-        try:
-            scan_r = _scan(moments, k_c + 1, T, range_r[0], range_r[1])
-            k_r = scan_r.k_hat
-            curve_r = scan_r.curve
-        except DegenerateSegmentError:
-            reason_r = UnavailableReason.DEGENERATE
-
+    scan_e, range_e, reason_e = _subsample_scan(moments, 1, k_c, (margin, k_c - margin))
+    scan_r, range_r, reason_r = _subsample_scan(moments, k_c + 1, T, (k_c + margin + 1, trimming.k_hi(T)))
     return BreakEstimates(
         k_c_hat=k_c,
-        k_e_hat=k_e,
-        k_r_hat=k_r,
+        k_e_hat=scan_e and scan_e.k_hat,
+        k_r_hat=scan_r and scan_r.k_hat,
         unavailable_reason_e=reason_e,
         unavailable_reason_r=reason_r,
         range_c=range_c,
         range_e=range_e,
         range_r=range_r,
         ssr_curve_c=scan_c.curve,
-        ssr_curve_e=curve_e,
-        ssr_curve_r=curve_r,
+        ssr_curve_e=scan_e and scan_e.curve,
+        ssr_curve_r=scan_r and scan_r.curve,
+        segment_ssr_c=scan_c.segment_ssr,
+        segment_ssr_e=scan_e and scan_e.segment_ssr,
+        segment_ssr_r=scan_r and scan_r.segment_ssr,
     )
-
-
-def _segmentation_ssr(moments: PrefixMoments, breaks: tuple) -> float:
-    bounds = [0, *breaks, moments.T]
-    total = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        total += fit_segment(moments, lo + 1, hi).ssr
-    return total
 
 
 def _bic_value(ssr: float, n: int, n_params: int) -> float:
@@ -319,36 +291,26 @@ def bic_select(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) -> B
     Each model keeps the break dates produced by its own scans: the
     two-regime model uses the full-sample split, the three-regime model
     adds the emergence date (tail observations stay in the collapse
-    regime), and the four-regime model adds the recovery date.  The scans
-    coincide with the three estimation steps, so one pass serves all
-    models.
+    regime), and the four-regime model adds the recovery date.  Every
+    model's segments are the two segments of one of the three estimation
+    scans, so the model SSRs are sums of the scans' segment SSRs, added
+    left to right in date order.
     """
     est = estimate_dates(series, trimming)
-    moments = build_prefix_moments(series)
-    n = moments.T - (moments.t_start - 1)
-
-    dates = {ModelChoice.TWO_REGIME: (est.k_c_hat,)}
-    bic = {
-        ModelChoice.TWO_REGIME: _bic_value(
-            _segmentation_ssr(moments, (est.k_c_hat,)), n, 3
-        )
-    }
+    n = series.T if series.y0 is not None else series.T - 1
+    ssr_a, ssr_b = est.segment_ssr_c
+    dates = {ModelChoice.TWO_REGIME: (est.k_c_hat,), ModelChoice.THREE_REGIME: None,
+             ModelChoice.FOUR_REGIME: None}
+    bic = {ModelChoice.TWO_REGIME: _bic_value(ssr_a + ssr_b, n, 3),
+           ModelChoice.THREE_REGIME: math.inf, ModelChoice.FOUR_REGIME: math.inf}
     if est.k_e_hat is not None:
+        ssr_ab = est.segment_ssr_e[0] + est.segment_ssr_e[1]
         dates[ModelChoice.THREE_REGIME] = (est.k_e_hat, est.k_c_hat)
-        bic[ModelChoice.THREE_REGIME] = _bic_value(
-            _segmentation_ssr(moments, (est.k_e_hat, est.k_c_hat)), n, 5
-        )
-    else:
-        dates[ModelChoice.THREE_REGIME] = None
-        bic[ModelChoice.THREE_REGIME] = math.inf
-    if est.k_e_hat is not None and est.k_r_hat is not None:
-        dates[ModelChoice.FOUR_REGIME] = (est.k_e_hat, est.k_c_hat, est.k_r_hat)
-        bic[ModelChoice.FOUR_REGIME] = _bic_value(
-            _segmentation_ssr(moments, (est.k_e_hat, est.k_c_hat, est.k_r_hat)), n, 7
-        )
-    else:
-        dates[ModelChoice.FOUR_REGIME] = None
-        bic[ModelChoice.FOUR_REGIME] = math.inf
+        bic[ModelChoice.THREE_REGIME] = _bic_value(ssr_ab + ssr_b, n, 5)
+        if est.k_r_hat is not None:
+            dates[ModelChoice.FOUR_REGIME] = (est.k_e_hat, est.k_c_hat, est.k_r_hat)
+            ssr_abcd = ssr_ab + est.segment_ssr_r[0] + est.segment_ssr_r[1]
+            bic[ModelChoice.FOUR_REGIME] = _bic_value(ssr_abcd, n, 7)
 
     chosen = ModelChoice.TWO_REGIME
     for model in (ModelChoice.THREE_REGIME, ModelChoice.FOUR_REGIME):

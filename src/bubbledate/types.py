@@ -365,16 +365,6 @@ class LinearProcessCoeffs:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.psi, dtype=np.float64)
 
-    def summability_diagnostic(self) -> float:
-        """sum_j j^{3/2} |psi_j|, the weighted absolute-coefficient mass.
-
-        Finite by construction here (the filter is finite); exposed so
-        configured filters can be screened for disproportionate weight at
-        long lags.
-        """
-        j = np.arange(len(self.psi), dtype=np.float64)
-        return float(np.sum(j ** 1.5 * np.abs(self.as_array())))
-
 
 @dataclass(frozen=True)
 class TrimmingPolicy:
@@ -413,8 +403,10 @@ class BreakEstimates:
 
     ``k_c_hat`` is always present; the emergence and recovery estimates may
     be absent, in which case the matching ``unavailable_reason_*`` explains
-    why.  ``range_*`` holds the admissible candidate range actually scanned
-    and ``ssr_curve_*`` the evaluated (k, SSR) pairs, one row per candidate.
+    why.  ``range_*`` holds the admissible candidate range actually scanned,
+    ``ssr_curve_*`` the evaluated (k, SSR) pairs, one row per candidate, and
+    ``segment_ssr_*`` the SSRs of the two segments that the scan's
+    estimate splits its window into.
     """
 
     k_c_hat: int
@@ -428,6 +420,9 @@ class BreakEstimates:
     ssr_curve_c: Optional[np.ndarray] = field(default=None, repr=False)
     ssr_curve_e: Optional[np.ndarray] = field(default=None, repr=False)
     ssr_curve_r: Optional[np.ndarray] = field(default=None, repr=False)
+    segment_ssr_c: Optional[tuple] = None
+    segment_ssr_e: Optional[tuple] = None
+    segment_ssr_r: Optional[tuple] = None
 
     def __post_init__(self):
         if (self.k_e_hat is None) == (self.unavailable_reason_e is None):

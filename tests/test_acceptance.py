@@ -26,10 +26,10 @@ from bubbledate import (
     Series,
     Target,
     bn_decompose,
+    batch_paths,
     build_prefix_moments,
     emergence_limit_draws,
     estimate_dates,
-    path_from_errors,
     preset,
     recovery_limit_draws,
     run_experiment,
@@ -122,7 +122,7 @@ def test_criterion_05_exact_recovery_on_noiseless_paths():
             except Exception:
                 continue  # resample fractions that collide on this T
             break
-        y = path_from_errors(config, np.zeros(T))
+        y = batch_paths(config, np.zeros((1, T)))[0]
         est = estimate_dates(Series(y[1:], y0=float(y[0])))
         got = (est.k_e_hat, est.k_c_hat, est.k_r_hat)
         assert got == config.break_indices, (config, got)

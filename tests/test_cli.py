@@ -94,6 +94,26 @@ class TestEstimateCommand:
         assert bic["values"]["four_regime"] is None  # a zero-SSR fit
         assert bic["n_obs"] == 39
 
+    def test_bic_estimates_once(self, tmp_path, capsys, monkeypatch):
+        import bubbledate.estimator as estimator
+
+        calls = []
+        build = estimator.build_prefix_moments
+
+        def counting_build(series):
+            calls.append(series.T)
+            return build(series)
+
+        monkeypatch.setattr(estimator, "build_prefix_moments", counting_build)
+        path = tmp_path / "tent.csv"
+        write_value_csv(path, three_phase_tent())
+        assert main(["estimate", str(path), "--bic"]) == 0
+        assert calls == [40]
+        payload = json.loads(capsys.readouterr().out)
+        breaks = payload["breaks"]
+        dates = [breaks[name]["index"] for name in ("emergence", "collapse", "recovery")]
+        assert dates == payload["bic"]["dates"]["four_regime"]
+
     def test_out_and_curves_out(self, tmp_path):
         path = tmp_path / "tent.csv"
         write_value_csv(path, three_phase_tent())
@@ -268,7 +288,7 @@ class TestLimitdistCommand:
         rows = list(csv.reader(open(prefix + "_draws.csv")))
         assert len(rows) == 26
         got = np.array([float(r[1]) for r in rows[1:]])
-        disc = Discretization(step=0.01, v_max=5.0, ou_horizon=10.0, paths=25)
+        disc = Discretization(step=0.01, v_max=5.0, ou_horizon=10.0)
         want = recovery_limit_draws(1.0, draws=25, disc=disc, seed=3).values
         assert np.array_equal(got, want)
 

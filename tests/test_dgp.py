@@ -1,4 +1,4 @@
-"""Simulation: regime recursion, error processes, variance profile."""
+"""Simulation: regime recursion and error processes."""
 from __future__ import annotations
 
 import math
@@ -19,9 +19,7 @@ from bubbledate import (
     VolatilityScaled,
     batch_paths,
     generate_errors,
-    path_from_errors,
     simulate,
-    variance_profile,
 )
 from bubbledate.dgp import DEFAULT_BURN_IN, _filter_innovations
 from bubbledate.rng import stream
@@ -31,7 +29,7 @@ class TestRegimeRecursion:
     def test_zero_noise_closed_form(self):
         # flat at 1, 20% growth, 20% decay, flat: every value has a closed form
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.2, phi_b=0.8, T=40, y0=1.0)
-        y = path_from_errors(cfg, np.zeros(40))
+        y = batch_paths(cfg, np.zeros((1, 40)))[0]
         assert cfg.break_indices == (16, 24, 28)
         for t in range(0, 17):
             assert y[t] == 1.0
@@ -60,7 +58,7 @@ class TestRegimeRecursion:
             except ConfigError:
                 continue  # fractions may collide on a small T
             errors = rng.normal(size=T)
-            got = path_from_errors(cfg, errors)
+            got = batch_paths(cfg, errors[np.newaxis, :])[0]
             want = plain_recursion_path(cfg, errors)
             assert got.tolist() == want
 
@@ -71,7 +69,7 @@ class TestRegimeRecursion:
             drift_pre=0.25, drift_post=0.125,
         )
         k_e, k_c, k_r = cfg.break_indices
-        y = path_from_errors(cfg, np.zeros(100))
+        y = batch_paths(cfg, np.zeros((1, 100)))[0]
         assert y[k_e] == 5.0 + 0.25 * k_e          # drift applies through k_e
         assert y[k_e + 1] == 1.1 * y[k_e]           # explosive from k_e + 1
         assert y[k_c + 1] == 0.9 * y[k_c]           # collapse from k_c + 1
@@ -79,7 +77,7 @@ class TestRegimeRecursion:
 
     def test_tau_r_one_decays_to_the_end(self):
         cfg = DgpConfig(0.4, 0.6, 1.0, phi_a=1.2, phi_b=0.8, T=40, y0=1.0)
-        y = path_from_errors(cfg, np.zeros(40))
+        y = batch_paths(cfg, np.zeros((1, 40)))[0]
         assert y[40] == pytest.approx(1.2 ** 8 * 0.8 ** 16, rel=1e-14)
 
     def test_batch_matches_single_paths_bitwise(self):
@@ -87,7 +85,7 @@ class TestRegimeRecursion:
         errors = stream(55).normal(size=(5, 60))
         batched = batch_paths(cfg, errors)
         for r in range(5):
-            assert np.array_equal(batched[r], path_from_errors(cfg, errors[r]))
+            assert np.array_equal(batched[r], batch_paths(cfg, errors[r : r + 1])[0])
 
     def test_batch_rejects_wrong_length(self):
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=60)
@@ -98,7 +96,7 @@ class TestRegimeRecursion:
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=80, y0=3.0)
         spec = IidGaussian(1.0)
         s = simulate(cfg, spec, 123)
-        y = path_from_errors(cfg, generate_errors(spec, 80, 123))
+        y = batch_paths(cfg, generate_errors(spec, 80, 123)[np.newaxis, :])[0]
         assert s.y0 == 3.0
         assert np.array_equal(s.values, y[1:])
 
@@ -156,25 +154,3 @@ class TestErrorSpecs:
         b = generate_errors(LinearProcess(coeffs, innovation_sigma=1.0), 50, stream(4))
         assert np.allclose(a, 2.0 * b, rtol=1e-15)
 
-
-class TestVarianceProfile:
-    def test_constant_is_identity(self):
-        prof = ConstantVolatility(3.0)
-        for tau in (0.0, 0.25, 0.77, 1.0):
-            assert variance_profile(prof, tau) == tau
-
-    def test_single_shift_hand_value(self):
-        prof = SingleShiftVolatility(sigma0=1.0, sigma1=3.0, tau_sigma=0.5)
-        assert variance_profile(prof, 0.5) == pytest.approx(0.1, rel=1e-12)
-
-    def test_endpoints_and_monotonicity(self):
-        prof = SingleShiftVolatility(sigma0=2.0, sigma1=0.5, tau_sigma=0.3)
-        taus = np.linspace(0.0, 1.0, 41)
-        vals = [variance_profile(prof, t) for t in taus]
-        assert vals[0] == 0.0
-        assert vals[-1] == pytest.approx(1.0, rel=1e-12)
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_tau_outside_unit_interval(self):
-        with pytest.raises(ConfigError):
-            variance_profile(ConstantVolatility(1.0), 1.5)

@@ -1,6 +1,7 @@
 """Break-date estimation: prefix moments, scans, sequential steps, BIC."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,19 +18,24 @@ from conftest import (
 
 from bubbledate import (
     DegenerateSegmentError,
+    DgpConfig,
     EmptyRangeError,
+    IidGaussian,
     ModelChoice,
     Series,
     SeriesValidationError,
+    SingleShiftVolatility,
     TrimmingPolicy,
     UnavailableReason,
-    argmin_break,
+    VolatilityScaled,
     bic_select,
     build_prefix_moments,
     estimate_dates,
     fit_segment,
+    simulate,
     ssr_split,
 )
+from bubbledate.estimator import _scan
 from bubbledate.rng import stream
 
 
@@ -145,7 +151,7 @@ class TestSplitScan:
     def test_argmin_finds_kink(self):
         values = growth_decay_tent(20, 10, 1.2, 0.8)
         m = build_prefix_moments(Series(values, y0=1.0))
-        scan = argmin_break(m, 2, 18)
+        scan = _scan(m, 1, m.T, 2, 18)
         assert scan.k_hat == 10
         assert scan.curve.shape == (17, 2)
         assert scan.skipped.size == 0
@@ -153,7 +159,7 @@ class TestSplitScan:
 
     def test_exact_ties_resolve_to_smallest_date(self):
         m = build_prefix_moments(Series(np.full(30, 2.0), y0=2.0))
-        assert argmin_break(m, 4, 26).k_hat == 4
+        assert _scan(m, 1, m.T, 4, 26).k_hat == 4
 
     def test_degenerate_candidates_are_skipped(self):
         # left lags stay zero through t = 4 (the lag at t is values[t - 2]),
@@ -161,28 +167,28 @@ class TestSplitScan:
         values = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
         assert naive_segment_fit(values, None, 1, 4) is None
         m = build_prefix_moments(Series(values))
-        scan = argmin_break(m, 2, 6)
+        scan = _scan(m, 1, m.T, 2, 6)
         assert scan.skipped.tolist() == [2, 3, 4]
         assert scan.curve[:, 0].tolist() == [5.0, 6.0]
 
     def test_all_candidates_degenerate_raises(self):
         m = build_prefix_moments(Series(np.zeros(10)))
         with pytest.raises(DegenerateSegmentError):
-            argmin_break(m, 2, 8)
+            _scan(m, 1, m.T, 2, 8)
 
     def test_empty_range_raises(self):
         m = build_prefix_moments(Series(np.ones(10), y0=1.0))
         with pytest.raises(EmptyRangeError):
-            argmin_break(m, 6, 5)
+            _scan(m, 1, m.T, 6, 5)
         with pytest.raises(EmptyRangeError):
-            argmin_break(m, 2, 10)
+            _scan(m, 1, m.T, 2, 10)
 
     def test_matches_naive_scan_on_noisy_series(self):
         rng = stream(11)
         for y0 in (None, 0.3):
             values = 1.0 + 0.1 * rng.normal(size=50) + np.linspace(0, 2, 50)
             m = build_prefix_moments(Series(values, y0=y0))
-            scan = argmin_break(m, 3, 47)
+            scan = _scan(m, 1, m.T, 3, 47)
             assert scan.k_hat == naive_window_scan(values, y0, 1, 50, 3, 47)
 
 
@@ -301,3 +307,77 @@ class TestBicSelect:
         values = stream(9).normal(size=50).cumsum()
         assert bic_select(Series(values)).n_obs == 49
         assert bic_select(Series(values, y0=0.0)).n_obs == 50
+
+
+def refit_bic(series, est):
+    """BIC of each model by refitting every segment with ``fit_segment``.
+
+    Segment SSRs are summed one segment at a time in date order, starting
+    from 0.0.  Returns (bic, chosen, dates, n_obs) like ``BicReport``.
+    """
+    moments = build_prefix_moments(series)
+    n = moments.T - (moments.t_start - 1)
+    k_e, k_c, k_r = est.k_e_hat, est.k_c_hat, est.k_r_hat
+    dates = {
+        ModelChoice.TWO_REGIME: (k_c,),
+        ModelChoice.THREE_REGIME: (k_e, k_c) if k_e is not None else None,
+        ModelChoice.FOUR_REGIME: (k_e, k_c, k_r) if k_e is not None and k_r is not None else None,
+    }
+    bic = {}
+    for model, n_params in zip(ModelChoice, (3, 5, 7)):
+        if dates[model] is None:
+            bic[model] = math.inf
+            continue
+        bounds = [0, *dates[model], moments.T]
+        total = 0.0
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            total += fit_segment(moments, lo + 1, hi).ssr
+        bic[model] = -math.inf if total <= 0.0 else n * math.log(total / n) + n_params * math.log(n)
+    chosen = ModelChoice.TWO_REGIME
+    for model in (ModelChoice.THREE_REGIME, ModelChoice.FOUR_REGIME):
+        if bic[model] < bic[chosen]:
+            chosen = model
+    return bic, chosen, dates, n
+
+
+def bic_reference_series():
+    rng = stream(2024)
+    for i in range(20):
+        walk = rng.normal(size=100 + 20 * i).cumsum()
+        yield Series(walk)
+        yield Series(walk, y0=0.0)
+    volshift = VolatilityScaled(SingleShiftVolatility(1.0, 3.0, 0.5))
+    for T in (400, 800, 1600):
+        for phi_a in (1.05, 1.09):
+            config = DgpConfig(0.4, 0.6, 0.7, phi_a=phi_a, phi_b=0.96, T=T,
+                               drift_pre=1.0 / 800.0, drift_post=1.0 / 800.0)
+            for errors in (IidGaussian(1.0), volshift):
+                for seed in range(5):
+                    yield simulate(config, errors, seed)
+    yield Series(three_phase_tent(), y0=1.0)
+    yield Series(three_phase_tent())
+    yield Series(three_phase_tent(T=80, k_e=30, k_c=50, k_r=60), y0=1.0)
+    yield Series(np.full(40, 3.0), y0=3.0)
+    yield Series(np.full(60, -2.0))
+
+
+def test_bic_matches_segment_refit_bitwise():
+    checked = 0
+    for series in bic_reference_series():
+        for rho in (0.05, 0.2):
+            trimming = TrimmingPolicy(rho)
+            report = bic_select(series, trimming)
+            est = estimate_dates(series, trimming)
+            for f in dataclasses.fields(est):
+                got, want = getattr(report.estimates, f.name), getattr(est, f.name)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want), f.name
+                else:
+                    assert got == want, f.name
+            bic, chosen, dates, n_obs = refit_bic(series, est)
+            assert {m: float(v).hex() for m, v in report.bic.items()} == {
+                m: float(v).hex() for m, v in bic.items()
+            }
+            assert (report.chosen, report.dates, report.n_obs) == (chosen, dates, n_obs)
+            checked += 1
+    assert checked >= 200

@@ -1,6 +1,8 @@
 """Monte Carlo harness: grids, presets, tallies, schedule independence."""
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -225,3 +227,32 @@ class TestRunExperiment:
             k_hi = cfg.trimming.k_hi(hist.cell.T)
             for k in hist.bins:
                 assert margin <= k <= k_hi
+
+
+def result_digest(result):
+    """sha256 of every histogram and BIC tally, in a canonical JSON form."""
+    hists = [
+        [[h.cell.T, h.cell.phi_a, h.cell.phi_b], h.target.value, h.true_date,
+         sorted(h.bins.items()), h.unavailable, h.reps]
+        for h in result.histograms
+    ]
+    tallies = [
+        [[t.cell.T, t.cell.phi_a, t.cell.phi_b], sorted((m.value, c) for m, c in t.counts.items()),
+         t.failed, t.reps]
+        for t in result.bic_tallies
+    ]
+    return hashlib.sha256(json.dumps([hists, tallies]).encode()).hexdigest()
+
+
+# Pinned on the volshift-up design with BIC at seed 0.  A change that is
+# meant to move estimates (such as recursive-residual SSR scans) changes
+# this digest on purpose; it must then justify the new value in CHANGES.md.
+GOLDEN_VOLSHIFT_UP_BIC = "acdb65a0bc4975ac4864a54f2f374d244d1d1f02950aefd92a66851206e33dc8"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_digest_volshift_up_bic(workers):
+    cfg = replace(preset("volshift-up"), bic=True, reps=40, base_seed=0)
+    result = run_experiment(cfg, workers=workers)
+    assert len(result.histograms) == 36 and len(result.bic_tallies) == 12
+    assert result_digest(result) == GOLDEN_VOLSHIFT_UP_BIC

@@ -255,11 +255,6 @@ class TestLinearProcessCoeffs:
         assert c.order == 2
         assert c.as_array().tolist() == [1.0, 0.5, 0.25]
 
-    def test_summability_diagnostic(self):
-        c = LinearProcessCoeffs((1.0, 0.5))
-        # sum over j of j^{3/2} |psi_j|
-        assert c.summability_diagnostic() == pytest.approx(0.5, rel=1e-12)
-
     def test_rejects_empty_or_nonfinite(self):
         with pytest.raises(ConfigError):
             LinearProcessCoeffs(())
