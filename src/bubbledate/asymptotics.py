@@ -260,6 +260,8 @@ def recovery_limit_draws(
     """
     if c_b <= 0.0:
         raise ConfigError([f"c_b must be positive, got {c_b}"])
+    if draws < 1:
+        raise ConfigError([f"draws must be positive, got {draws}"])
     disc = disc or Discretization.default(c_b)
     disc.require_horizon(c_b)
     bn = bn_decompose(correction) if correction is not None else None
@@ -310,6 +312,8 @@ def emergence_limit_draws(
     """Batch of independent emergence-limit draws, keyed like recovery draws."""
     if not (0.0 < tau_e < 1.0):
         raise ConfigError([f"tau_e must lie in (0, 1), got {tau_e}"])
+    if draws < 1:
+        raise ConfigError([f"draws must be positive, got {draws}"])
     disc = disc or Discretization()
     values = np.empty(draws, dtype=np.float64)
     rejections = 0

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -186,11 +186,7 @@ def cmd_mc(args) -> int:
     config = preset(args.preset) if args.preset else dataio.load_experiment_config(args.config)
     overrides = {"base_seed": args.seed}
     if args.reps is not None:
-        if args.reps < 1:
-            raise ConfigError([f"--reps must be positive, got {args.reps}"])
         overrides["reps"] = args.reps
-    from dataclasses import replace
-
     config = replace(config, **overrides)
     result = run_experiment(config, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
@@ -210,8 +206,6 @@ def cmd_mc(args) -> int:
 
 
 def cmd_limitdist(args) -> int:
-    if args.draws < 1:
-        raise ConfigError([f"--draws must be positive, got {args.draws}"])
     correction = None
     if args.psi is not None:
         try:

@@ -6,6 +6,11 @@ replications; per replication the errors come from the (base_seed,
 replication, 0) stream, so the draws for replication r are shared across
 every cell (common random numbers) and results do not depend on execution
 order or on how replications are distributed over workers.
+
+The unit of work is a (cell, replication block): the block's error rows
+are stacked into one matrix, one ``batch_paths`` call runs the regime
+recursion on all of them, and each row is dated on its own.  A block
+returns one Counter tally, and a cell's tally is the sum of its blocks'.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -148,116 +152,99 @@ class ExperimentResult:
     bic_tallies: list = field(default_factory=list)
 
 
-def _replication_estimates(config: ExperimentConfig, cell_dgp: DgpConfig, rep: int):
-    rng = stream(config.base_seed, rep, 0)
-    eps = generate_errors(config.errors, cell_dgp.T, rng)
-    y = batch_paths(cell_dgp, eps[np.newaxis, :])[0]
-    series = Series(y[1:], y0=float(y[0]))
-    if config.bic:
-        report = bic_select(series, config.trimming)
-        return report.estimates, report.chosen
-    return estimate_dates(series, config.trimming), None
+_ESTIMATE_FIELD = {
+    Target.COLLAPSE: "k_c_hat",
+    Target.EMERGENCE: "k_e_hat",
+    Target.RECOVERY: "k_r_hat",
+}
 
 
-def _run_cell_range(config: ExperimentConfig, cell: CellKey, rep_lo: int, rep_hi: int):
+def _run_block(config: ExperimentConfig, cell: CellKey, rep_lo: int, rep_hi: int) -> Counter:
     """Tally one block of replications for one cell.
 
-    Returns per-target (Counter, unavailable) plus a BIC Counter and a
-    failure count.  Tallies are commutative, so blocks merge in any order.
+    Replication r draws its errors from its own (base_seed, r, 0) stream;
+    the block's paths come from one ``batch_paths`` call.  The tally
+    counts ``(target, k_hat)`` and ``("bic", model)`` keys, with ``None``
+    for an unavailable date or a failed replication.  Tallies are
+    commutative, so blocks merge in any order.
     """
     cell_dgp = config.cell_dgp(cell)
-    k_true = dict(zip((Target.EMERGENCE, Target.COLLAPSE, Target.RECOVERY), cell_dgp.break_indices))
-    bins = {t: Counter() for t in config.targets}
-    unavailable = {t: 0 for t in config.targets}
-    bic_counts: Counter = Counter()
-    failed = 0
-    for rep in range(rep_lo, rep_hi):
+    errors = np.empty((rep_hi - rep_lo, cell_dgp.T))
+    for i, rep in enumerate(range(rep_lo, rep_hi)):
+        errors[i] = generate_errors(config.errors, cell_dgp.T, stream(config.base_seed, rep, 0))
+    tally: Counter = Counter()
+    for y in batch_paths(cell_dgp, errors):
         try:
-            est, chosen = _replication_estimates(config, cell_dgp, rep)
-        except BubbleDateError:
-            for t in config.targets:
-                unavailable[t] += 1
-            failed += 1
-            continue
-        by_target = {
-            Target.COLLAPSE: est.k_c_hat,
-            Target.EMERGENCE: est.k_e_hat,
-            Target.RECOVERY: est.k_r_hat,
-        }
-        for t in config.targets:
-            k_hat = by_target[t]
-            if k_hat is None:
-                unavailable[t] += 1
+            series = Series(y[1:], y0=float(y[0]))
+            if config.bic:
+                report = bic_select(series, config.trimming)
+                est, chosen = report.estimates, report.chosen
             else:
-                bins[t][k_hat] += 1
-        if chosen is not None:
-            bic_counts[chosen] += 1
-    return bins, unavailable, bic_counts, failed, k_true
-
-
-def _merge_cell(config: ExperimentConfig, cell: CellKey, parts: list):
-    bins = {t: Counter() for t in config.targets}
-    unavailable = {t: 0 for t in config.targets}
-    bic_counts: Counter = Counter()
-    failed = 0
-    k_true = None
-    for part_bins, part_unavail, part_bic, part_failed, part_true in parts:
+                est, chosen = estimate_dates(series, config.trimming), None
+        except BubbleDateError:
+            est = chosen = None
         for t in config.targets:
-            bins[t].update(part_bins[t])
-            unavailable[t] += part_unavail[t]
-        bic_counts.update(part_bic)
-        failed += part_failed
-        k_true = part_true
-    histograms = [
+            tally[t, None if est is None else getattr(est, _ESTIMATE_FIELD[t])] += 1
+        if config.bic:
+            tally["bic", chosen] += 1
+    return tally
+
+
+def _add_cell(result: ExperimentResult, cell: CellKey, tally: Counter) -> None:
+    """Append one cell's histograms and BIC tally, built from its summed tally."""
+    config = result.config
+    breaks = config.cell_dgp(cell).break_indices
+    true_date = dict(zip((Target.EMERGENCE, Target.COLLAPSE, Target.RECOVERY), breaks))
+    result.histograms.extend(
         HistogramResult(
             cell=cell,
             target=t,
-            true_date=k_true[t],
-            bins=dict(sorted(bins[t].items())),
-            unavailable=unavailable[t],
+            true_date=true_date[t],
+            bins=dict(sorted((k, n) for (key, k), n in tally.items() if key == t and k is not None)),
+            unavailable=tally[t, None],
             reps=config.reps,
         )
         for t in config.targets
-    ]
-    tally = None
+    )
     if config.bic:
-        tally = BicTally(
-            cell=cell,
-            counts={m: bic_counts.get(m, 0) for m in ModelChoice},
-            failed=failed,
-            reps=config.reps,
+        result.bic_tallies.append(
+            BicTally(
+                cell=cell,
+                counts={m: tally["bic", m] for m in ModelChoice},
+                failed=tally["bic", None],
+                reps=config.reps,
+            )
         )
-    return histograms, tally
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run every cell of the experiment; results are schedule-independent.
 
-    ``workers`` > 1 distributes blocks of replications over processes.
-    Replication streams are keyed by (base_seed, replication), so the
-    parallel run is bit-identical to the serial one.
+    The unit of work is a (cell, replication block): a serial run makes
+    one block per cell, and ``workers`` > 1 splits each cell into blocks
+    of about reps / (4 * workers) replications spread over processes.
+    Replication streams are keyed by (base_seed, replication) and block
+    tallies are summed per cell, so the parallel run is bit-identical to
+    the serial one.
     """
     cells = config.cells()
     chunk = config.reps if workers <= 1 else max(1, math.ceil(config.reps / (workers * 4)))
-    tasks = []
-    for ci, cell in enumerate(cells):
-        for lo in range(0, config.reps, chunk):
-            tasks.append((ci, cell, lo, min(lo + chunk, config.reps)))
+    tasks = [
+        (ci, lo, min(lo + chunk, config.reps)) for ci in range(len(cells)) for lo in range(0, config.reps, chunk)
+    ]
     if workers <= 1:
-        outcomes = [_run_cell_range(config, cell, lo, hi) for (_, cell, lo, hi) in tasks]
+        outcomes = [_run_block(config, cells[ci], lo, hi) for (ci, lo, hi) in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell_range, config, cell, lo, hi) for (_, cell, lo, hi) in tasks]
+            futures = [pool.submit(_run_block, config, cells[ci], lo, hi) for (ci, lo, hi) in tasks]
             outcomes = [f.result() for f in futures]
-    histograms = []
-    tallies = []
-    for ci, cell in enumerate(cells):
-        parts = [out for (task, out) in zip(tasks, outcomes) if task[0] == ci]
-        cell_hists, tally = _merge_cell(config, cell, parts)
-        histograms.extend(cell_hists)
-        if tally is not None:
-            tallies.append(tally)
-    return ExperimentResult(config=config, histograms=histograms, bic_tallies=tallies)
+    cell_tallies = [Counter() for _ in cells]
+    for (ci, _, _), tally in zip(tasks, outcomes):
+        cell_tallies[ci].update(tally)
+    result = ExperimentResult(config=config, histograms=[])
+    for cell, tally in zip(cells, cell_tallies):
+        _add_cell(result, cell, tally)
+    return result
 
 
 # Desk-scale defaults: the published study of this design uses far more

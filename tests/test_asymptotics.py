@@ -260,6 +260,11 @@ class TestRecoveryLaw:
         with pytest.raises(ConfigError):
             recovery_limit_draws(-1.0, draws=10)
 
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_rejects_nonpositive_draws(self, draws):
+        with pytest.raises(ConfigError):
+            recovery_limit_draws(1.0, draws=draws)
+
     def test_zero_sum_correction_rejected(self):
         with pytest.raises(ZeroLongRunVarianceError):
             recovery_limit_draws(
@@ -311,6 +316,11 @@ class TestEmergenceLaw:
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ConfigError):
                 emergence_limit_draws(bad, draws=5)
+
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_rejects_nonpositive_draws(self, draws):
+        with pytest.raises(ConfigError):
+            emergence_limit_draws(0.4, draws=draws)
 
     def test_rejections_reported(self, emergence_draws):
         base, _ = emergence_draws

@@ -244,15 +244,55 @@ def result_digest(result):
     return hashlib.sha256(json.dumps([hists, tallies]).encode()).hexdigest()
 
 
-# Pinned on the volshift-up design with BIC at seed 0.  A change that is
-# meant to move estimates (such as recursive-residual SSR scans) changes
-# this digest on purpose; it must then justify the new value in CHANGES.md.
-GOLDEN_VOLSHIFT_UP_BIC = "acdb65a0bc4975ac4864a54f2f374d244d1d1f02950aefd92a66851206e33dc8"
+# Pinned at seed 0 with 40 replications, BIC on unless the id says
+# otherwise.  A change that is meant to move estimates (such as
+# recursive-residual SSR scans) changes these digests on purpose; it must
+# then justify the new values in CHANGES.md.
+GOLDEN_DIGESTS = [
+    ("baseline", True, 1, "7bb55616746eb0c2295038cc28b78afe0b87738e160ddfa3b81d1e08a756b551"),
+    ("short-bubble", True, 1, "519e9af369d9835ce685ee9b65ba8fa6fc4d49b36d5348dad594c76ed0587cf2"),
+    ("trim1pct", True, 1, "d5a76862b57586d708ee3c3248accf9be5d1efe89623169ac2f79a85095bc98e"),
+    ("volshift-down", True, 1, "b3903761e7aadc0408f3ce56c03ac4c416cd677912bc29d72039ed10892a71b2"),
+    ("volshift-up", True, 1, "acdb65a0bc4975ac4864a54f2f374d244d1d1f02950aefd92a66851206e33dc8"),
+    ("volshift-up", True, 2, "acdb65a0bc4975ac4864a54f2f374d244d1d1f02950aefd92a66851206e33dc8"),
+    ("no-fourth-regime", True, 1, "dff144de07043e4c0524b9276a5ac2e0380d626c282ba1e7bce7825a05a9a0e9"),
+    ("baseline", False, 1, "65235c275556ddbb56c1062967a3c345bffb563b139b1347eb760a875f8f9001"),
+]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_golden_digest_volshift_up_bic(workers):
-    cfg = replace(preset("volshift-up"), bic=True, reps=40, base_seed=0)
+@pytest.mark.parametrize(
+    "name, bic, workers, digest",
+    GOLDEN_DIGESTS,
+    ids=[f"{n}{'' if b else '-nobic'}{'' if w == 1 else f'-workers{w}'}" for n, b, w, _ in GOLDEN_DIGESTS],
+)
+def test_golden_digest(name, bic, workers, digest):
+    cfg = replace(preset(name), bic=bic, reps=40, base_seed=0)
     result = run_experiment(cfg, workers=workers)
-    assert len(result.histograms) == 36 and len(result.bic_tallies) == 12
-    assert result_digest(result) == GOLDEN_VOLSHIFT_UP_BIC
+    assert len(result.histograms) == len(cfg.cells()) * len(cfg.targets)
+    assert len(result.bic_tallies) == (len(cfg.cells()) if bic else 0)
+    assert result_digest(result) == digest
+
+
+def test_serial_run_makes_one_batch_per_cell(monkeypatch):
+    import bubbledate.montecarlo as montecarlo
+
+    batch_rows = []
+    error_draws = []
+    batch_paths = montecarlo.batch_paths
+    generate_errors = montecarlo.generate_errors
+
+    def counting_batch_paths(config, errors):
+        batch_rows.append(errors.shape[0])
+        return batch_paths(config, errors)
+
+    def counting_generate_errors(spec, T, rng):
+        error_draws.append(T)
+        return generate_errors(spec, T, rng)
+
+    monkeypatch.setattr(montecarlo, "batch_paths", counting_batch_paths)
+    monkeypatch.setattr(montecarlo, "generate_errors", counting_generate_errors)
+    cfg = small_config(T_grid=(100, 120), phi_b_grid=(0.85,))
+    run_experiment(cfg, workers=1)
+    # one block per cell; one error draw per replication in every cell
+    assert batch_rows == [cfg.reps] * len(cfg.cells())
+    assert error_draws == [cell.T for cell in cfg.cells() for _ in range(cfg.reps)]
