@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .rng import as_generator, stream
-from .types import BubbleDateError, ConfigError, LinearProcessCoeffs
+from .types import BubbleDateError, ConfigError, LinearProcessCoeffs, _require_c_b
 
 __all__ = [
     "Discretization",
@@ -78,16 +79,20 @@ class Discretization:
 
     @staticmethod
     def default(c_b: float) -> "Discretization":
-        return Discretization(ou_horizon=max(10.0 / c_b, 10.0))
+        return Discretization(ou_horizon=max(_min_horizon(c_b), 10.0))
 
     def n_grid(self) -> int:
         return int(round(self.v_max / self.step))
 
     def require_horizon(self, c_b: float) -> None:
-        if self.ou_horizon < 10.0 / c_b - 1e-12:
-            raise ConfigError(
-                [f"ou_horizon={self.ou_horizon} too short for c_b={c_b}; need at least {10.0 / c_b}"]
-            )
+        need = _min_horizon(c_b)
+        if self.ou_horizon < need - 1e-12:
+            raise ConfigError([f"ou_horizon={self.ou_horizon} too short for c_b={c_b}; need at least {need}"])
+
+
+def _min_horizon(c_b: float) -> float:
+    # truncating B~ at this horizon leaves an error of exp(-10)
+    return 10.0 / _require_c_b(c_b)
 
 
 @dataclass(frozen=True)
@@ -144,30 +149,27 @@ class OuPath:
     step: float
 
 
-def _discounted_backward(increments: np.ndarray, gamma: float) -> np.ndarray:
-    # x[i] = increments[i] + gamma * x[i+1], computed right to left
-    rev = lfilter([1.0], [1.0, -gamma], increments[::-1])
-    return rev[::-1]
-
-
-def _ou_from_increments(db_ext: np.ndarray, c_b: float, step: float, n_keep: int) -> np.ndarray:
-    gamma = math.exp(-c_b * step)
-    b_ext = _discounted_backward(db_ext, gamma)
-    return b_ext[: n_keep + 1]
+def _tail_process(c_b: float, disc: Discretization, rng) -> tuple:
+    """B~ on [0, v_max] and dB_1 on [0, v_max), from dB_1 drawn over [0, v_max + ou_horizon]; no checks."""
+    n = disc.n_grid()
+    n_ext = int(round((disc.v_max + disc.ou_horizon) / disc.step))
+    db_ext = rng.standard_normal(n_ext) * math.sqrt(disc.step)
+    # x[i] = db_ext[i] + exp(-c_b step) * x[i+1], computed right to left
+    rev = lfilter([1.0], [1.0, -math.exp(-c_b * disc.step)], db_ext[::-1])
+    return rev[::-1][: n + 1], db_ext[:n]
 
 
 def sample_ou_path(c_b: float, disc: Discretization, seed_or_rng) -> OuPath:
     """Draw one discretized tail-process path on [0, v_max]."""
-    if c_b <= 0.0:
-        raise ConfigError([f"c_b must be positive, got {c_b}"])
     disc.require_horizon(c_b)
-    rng = as_generator(seed_or_rng)
-    n = disc.n_grid()
-    n_ext = int(round((disc.v_max + disc.ou_horizon) / disc.step))
-    db_ext = rng.standard_normal(n_ext) * math.sqrt(disc.step)
-    b_tilde = _ou_from_increments(db_ext, c_b, disc.step, n)
-    grid = np.arange(n + 1) * disc.step
-    return OuPath(grid=grid, b_tilde=b_tilde, db1=db_ext[:n], c_b=c_b, step=disc.step)
+    b_tilde, db1 = _tail_process(c_b, disc, as_generator(seed_or_rng))
+    grid = np.arange(disc.n_grid() + 1) * disc.step
+    return OuPath(grid=grid, b_tilde=b_tilde, db1=db1, c_b=c_b, step=disc.step)
+
+
+def _two_sided(t: np.ndarray, obj_neg: np.ndarray, obj_pos: np.ndarray) -> tuple:
+    """(v_grid, values) on -t[::-1], 0, t, with the objective zero at v = 0."""
+    return np.concatenate([-t[::-1], [0.0], t]), np.concatenate([obj_neg[::-1], [0.0], obj_pos])
 
 
 def _recovery_objective(
@@ -207,35 +209,22 @@ def _recovery_objective(
     j2 = np.cumsum((b2[:n] / (2.0 * b0) + 1.0) * b2[:n]) * step
     c_pos = -(b2[1:] + j1 / b0 + c_b * j2) / (c_b * b0)
     obj_pos = c_pos - 0.5 * t * psi_star_pos
-
-    v_grid = np.concatenate([-t[::-1], [0.0], t])
-    values = np.concatenate([obj_neg[::-1], [0.0], obj_pos])
-    return v_grid, values
+    return _two_sided(t, obj_neg, obj_pos)
 
 
-def _one_recovery_draw(c_b, disc, rng, bn: Optional[BnDecomposition]) -> tuple:
-    n = disc.n_grid()
-    n_ext = int(round((disc.v_max + disc.ou_horizon) / disc.step))
-    rejections = 0
-    while True:
-        db_ext = rng.standard_normal(n_ext) * math.sqrt(disc.step)
-        db2 = rng.standard_normal(n) * math.sqrt(disc.step)
-        b_tilde = _ou_from_increments(db_ext, c_b, disc.step, n)
-        b0 = float(b_tilde[0])
-        if abs(b0) < REJECTION_THRESHOLD:
-            rejections += 1
-            continue
-        if bn is None:
-            psi_neg = 1.0
-            psi_pos = 1.0
-        else:
-            psi_neg = 1.0 - bn.psi_check
-            ratio = bn.psi_sq_sum / bn.psi_sum**2
-            psi_pos = 1.0 + (1.0 - ratio) / (c_b * b0 * b0)
-        v_grid, values = _recovery_objective(
-            c_b, b_tilde, db_ext[:n], db2, disc.step, psi_neg, psi_pos
-        )
-        return float(v_grid[int(np.argmax(values))]), rejections
+def _one_recovery_draw(c_b, disc, bn: Optional[BnDecomposition], rng) -> Optional[tuple]:
+    """One attempt: the recovery objective, or None if B~(0) is too small."""
+    b_tilde, db1 = _tail_process(c_b, disc, rng)
+    db2 = rng.standard_normal(disc.n_grid()) * math.sqrt(disc.step)
+    b0 = float(b_tilde[0])
+    if abs(b0) < REJECTION_THRESHOLD:
+        return None
+    psi_neg = psi_pos = 1.0
+    if bn is not None:
+        psi_neg = 1.0 - bn.psi_check
+        ratio = bn.psi_sq_sum / bn.psi_sum**2
+        psi_pos = 1.0 + (1.0 - ratio) / (c_b * b0 * b0)
+    return _recovery_objective(c_b, b_tilde, db1, db2, disc.step, psi_neg, psi_pos)
 
 
 @dataclass(frozen=True)
@@ -244,6 +233,21 @@ class LimitSample:
 
     values: np.ndarray
     rejections: int
+
+
+def _draw_batch(one_draw, draws: int, seed: int) -> LimitSample:
+    """Argmax of one_draw(rng) -> (v_grid, values), retried on draw i's own stream while None."""
+    if draws < 1:
+        raise ConfigError([f"draws must be positive, got {draws}"])
+    values = np.empty(draws, dtype=np.float64)
+    rejections = 0
+    for i in range(draws):
+        rng = stream(seed, i)
+        while (objective := one_draw(rng)) is None:
+            rejections += 1
+        v_grid, obj = objective
+        values[i] = v_grid[int(np.argmax(obj))]
+    return LimitSample(values=values, rejections=rejections)
 
 
 def recovery_limit_draws(
@@ -258,49 +262,30 @@ def recovery_limit_draws(
     Draw i comes from the (seed, i) stream, so any subset or reordering of
     the batch reproduces the same values.
     """
-    if c_b <= 0.0:
-        raise ConfigError([f"c_b must be positive, got {c_b}"])
-    if draws < 1:
-        raise ConfigError([f"draws must be positive, got {draws}"])
     disc = disc or Discretization.default(c_b)
     disc.require_horizon(c_b)
     bn = bn_decompose(correction) if correction is not None else None
-    values = np.empty(draws, dtype=np.float64)
-    rejections = 0
-    for i in range(draws):
-        values[i], rej = _one_recovery_draw(c_b, disc, stream(seed, i), bn)
-        rejections += rej
-    return LimitSample(values=values, rejections=rejections)
+    return _draw_batch(partial(_one_recovery_draw, c_b, disc, bn), draws, seed)
 
 
-def _emergence_objective(
-    w_left: np.ndarray, w_right: np.ndarray, level: float, step: float
-) -> tuple:
+def _emergence_objective(w_left: np.ndarray, w_right: np.ndarray, level: float, step: float) -> tuple:
     """Two-sided scaled-Brownian objective W*(v)/level - |v|/2."""
-    n = w_left.shape[0]
-    t = np.arange(1, n + 1) * step
-    obj_neg = w_left / level - 0.5 * t
-    obj_pos = w_right / level - 0.5 * t
-    v_grid = np.concatenate([-t[::-1], [0.0], t])
-    values = np.concatenate([obj_neg[::-1], [0.0], obj_pos])
-    return v_grid, values
+    t = np.arange(1, w_left.shape[0] + 1) * step
+    return _two_sided(t, w_left / level - 0.5 * t, w_right / level - 0.5 * t)
 
 
-def _one_emergence_draw(tau_e: float, disc: Discretization, rng) -> tuple:
+def _one_emergence_draw(tau_e: float, disc: Discretization, rng) -> Optional[tuple]:
+    """One attempt: the emergence objective, or None if the level is too small."""
     n = disc.n_grid()
     sqrt_step = math.sqrt(disc.step)
-    rejections = 0
-    while True:
-        w_left = np.cumsum(rng.standard_normal(n) * sqrt_step)
-        w_right = np.cumsum(rng.standard_normal(n) * sqrt_step)
-        # the normalizing level W_1(tau_e) is asymptotically independent of
-        # the local window around the break, so it is drawn independently
-        level = math.sqrt(tau_e) * rng.standard_normal()
-        if abs(level) < REJECTION_THRESHOLD:
-            rejections += 1
-            continue
-        v_grid, values = _emergence_objective(w_left, w_right, level, disc.step)
-        return float(v_grid[int(np.argmax(values))]), rejections
+    w_left = np.cumsum(rng.standard_normal(n) * sqrt_step)
+    w_right = np.cumsum(rng.standard_normal(n) * sqrt_step)
+    # the normalizing level W_1(tau_e) is asymptotically independent of
+    # the local window around the break, so it is drawn independently
+    level = math.sqrt(tau_e) * rng.standard_normal()
+    if abs(level) < REJECTION_THRESHOLD:
+        return None
+    return _emergence_objective(w_left, w_right, level, disc.step)
 
 
 def emergence_limit_draws(
@@ -312,12 +297,4 @@ def emergence_limit_draws(
     """Batch of independent emergence-limit draws, keyed like recovery draws."""
     if not (0.0 < tau_e < 1.0):
         raise ConfigError([f"tau_e must lie in (0, 1), got {tau_e}"])
-    if draws < 1:
-        raise ConfigError([f"draws must be positive, got {draws}"])
-    disc = disc or Discretization()
-    values = np.empty(draws, dtype=np.float64)
-    rejections = 0
-    for i in range(draws):
-        values[i], rej = _one_emergence_draw(tau_e, disc, stream(seed, i))
-        rejections += rej
-    return LimitSample(values=values, rejections=rejections)
+    return _draw_batch(partial(_one_emergence_draw, tau_e, disc or Discretization()), draws, seed)

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--seed", type=int, required=True)
     p_lim.add_argument("--step", type=float, default=0.01)
     p_lim.add_argument("--vmax", type=float, default=50.0)
-    p_lim.add_argument("--horizon", type=float, default=None, help="tail-process horizon (default max(10/cb, 10))")
+    p_lim.add_argument("--horizon", type=float, default=None, help="tail-process horizon (default: Discretization.default(cb))")
     p_lim.add_argument("--out", required=True, help="output file prefix")
     return parser
 
@@ -213,12 +213,9 @@ def cmd_limitdist(args) -> int:
         except ValueError:
             raise ConfigError([f"cannot parse --psi {args.psi!r} as comma-separated numbers"]) from None
         correction = LinearProcessCoeffs(coeffs)
-    if args.law == "recovery" and args.cb <= 0:
-        raise ConfigError([f"--cb must be positive, got {args.cb}"])
-    horizon = args.horizon
-    if horizon is None:
-        horizon = max(10.0 / args.cb, 10.0) if args.law == "recovery" else 10.0
-    disc = Discretization(step=args.step, v_max=args.vmax, ou_horizon=horizon)
+    disc = Discretization.default(args.cb) if args.law == "recovery" else Discretization()
+    horizon = disc.ou_horizon if args.horizon is None else args.horizon
+    disc = replace(disc, step=args.step, v_max=args.vmax, ou_horizon=horizon)
     if args.law == "recovery":
         sample = recovery_limit_draws(
             args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=correction

@@ -150,10 +150,9 @@ def build_prefix_moments(series: Series) -> PrefixMoments:
     return PrefixMoments(s_cross=s_cross, s_lag2=s_lag2, s_sq=s_sq, T=T, t_start=t_start, y0=series.y0)
 
 
-def _clamp_ssr(ssr: float, seg_sq: float) -> float:
-    if ssr < 0.0 and -ssr <= SSR_CLAMP_REL * seg_sq:
-        return 0.0
-    return ssr
+def _clamp_ssr(ssr, seg_sq):
+    """Elementwise SSR_CLAMP_REL clamp of rounding-noise negative SSRs."""
+    return np.where((ssr < 0.0) & (-ssr <= SSR_CLAMP_REL * seg_sq), 0.0, ssr)
 
 
 def fit_segment(moments: PrefixMoments, start: int, end: int) -> SegmentFit:
@@ -166,7 +165,7 @@ def fit_segment(moments: PrefixMoments, start: int, end: int) -> SegmentFit:
     d_cross = float(moments.s_cross[end] - moments.s_cross[start - 1])
     d_sq = float(moments.s_sq[end] - moments.s_sq[start - 1])
     phi_hat = d_cross / d_lag2
-    ssr = _clamp_ssr(d_sq - phi_hat * phi_hat * d_lag2, d_sq)
+    ssr = float(_clamp_ssr(d_sq - phi_hat * phi_hat * d_lag2, d_sq))
     n_obs = end - max(start, moments.t_start) + 1
     return SegmentFit(phi_hat=phi_hat, ssr=ssr, n_obs=n_obs)
 
@@ -208,8 +207,8 @@ def _scan(moments: PrefixMoments, seg_start: int, seg_end: int, k_lo: int, k_hi:
         phi2 = d_c2 / d_l2
         ssr1 = d_q1 - phi1 * phi1 * d_l1
         ssr2 = d_q2 - phi2 * phi2 * d_l2
-    ssr1 = np.where((ssr1 < 0.0) & (-ssr1 <= SSR_CLAMP_REL * d_q1), 0.0, ssr1)
-    ssr2 = np.where((ssr2 < 0.0) & (-ssr2 <= SSR_CLAMP_REL * d_q2), 0.0, ssr2)
+    ssr1 = _clamp_ssr(ssr1, d_q1)
+    ssr2 = _clamp_ssr(ssr2, d_q2)
     total = ssr1 + ssr2
     if not ok.any():
         raise DegenerateSegmentError(
@@ -256,7 +255,7 @@ def estimate_dates(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) 
         raise SeriesValidationError([TooShort(T)])
     moments = build_prefix_moments(series)
     margin = trimming.margin(T)
-    range_c = (trimming.k_lo(T), trimming.k_hi(T))
+    range_c = (margin, trimming.k_hi(T))
     scan_c = _scan(moments, 1, T, range_c[0], range_c[1])
     k_c = scan_c.k_hat
     scan_e, range_e, reason_e = _subsample_scan(moments, 1, k_c, (margin, k_c - margin))

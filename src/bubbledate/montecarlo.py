@@ -220,15 +220,15 @@ def _add_cell(result: ExperimentResult, cell: CellKey, tally: Counter) -> None:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run every cell of the experiment; results are schedule-independent.
 
-    The unit of work is a (cell, replication block): a serial run makes
-    one block per cell, and ``workers`` > 1 splits each cell into blocks
-    of about reps / (4 * workers) replications spread over processes.
+    The unit of work is a (cell, replication block): each cell is split
+    into one block of about reps / workers replications per worker, so a
+    serial run makes one block per cell.
     Replication streams are keyed by (base_seed, replication) and block
     tallies are summed per cell, so the parallel run is bit-identical to
     the serial one.
     """
     cells = config.cells()
-    chunk = config.reps if workers <= 1 else max(1, math.ceil(config.reps / (workers * 4)))
+    chunk = math.ceil(config.reps / max(workers, 1))
     tasks = [
         (ci, lo, min(lo + chunk, config.reps)) for ci in range(len(cells)) for lo in range(0, config.reps, chunk)
     ]

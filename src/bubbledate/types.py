@@ -274,13 +274,18 @@ def explosion_exponent(phi_a: float, T: int, c_a: float = 1.0) -> float:
     return (math.log(c_a) - math.log(phi_a - 1.0)) / math.log(T)
 
 
+def _require_c_b(c_b: float) -> float:
+    """The collapse intensity c_b, which must be positive everywhere it is used."""
+    if c_b <= 0.0:
+        raise ConfigError([f"c_b must be positive, got {c_b}"])
+    return c_b
+
+
 def collapse_exponent(phi_b: float, T: int, c_b: float = 1.0) -> float:
     """Exponent b solving phi_b = 1 - c_b / T**b."""
     if not (0.0 < phi_b < 1.0):
         raise ConfigError([f"phi_b must lie in (0, 1), got {phi_b}"])
-    if c_b <= 0.0:
-        raise ConfigError([f"c_b must be positive, got {c_b}"])
-    return (math.log(c_b) - math.log(1.0 - phi_b)) / math.log(T)
+    return (math.log(_require_c_b(c_b)) - math.log(1.0 - phi_b)) / math.log(T)
 
 
 def derived_exponents(config: DgpConfig, c_a: float = 1.0, c_b: float = 1.0) -> DerivedExponents:
@@ -379,9 +384,6 @@ class TrimmingPolicy:
     def margin(self, T: int) -> int:
         """ceil(rho * T): number of dates excluded at each boundary."""
         return int(math.ceil(self.rho * T - _GRID_EPS))
-
-    def k_lo(self, T: int) -> int:
-        return self.margin(T)
 
     def k_hi(self, T: int) -> int:
         return int(math.floor((1.0 - self.rho) * T + _GRID_EPS))

@@ -1,6 +1,7 @@
 """Limit-law samplers: filter decomposition, tail process, argmax draws."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -61,6 +62,46 @@ def assert_quantiles_stable(a, b):
         qb = np.quantile(b, q)
         scale = max(abs(np.quantile(pooled, q)), iqr)
         assert abs(qa - qb) <= 0.05 * scale
+
+
+# sha256 of the values bytes of fixed batches; any change to the draw
+# order, the tail-process build or the argmax shows up here
+GOLDEN_DRAWS = [
+    pytest.param(
+        lambda: recovery_limit_draws(1.0, draws=200, seed=0),
+        "15d324d5de610e9c1ce7cef3c8166433dd4a9a6327eabf11a43360afad8b8459",
+        id="recovery",
+    ),
+    pytest.param(
+        lambda: recovery_limit_draws(1.0, draws=200, seed=0, correction=LinearProcessCoeffs((1.0, 0.5))),
+        "3a758499793f1defc1fd9891884aa6431d24e44b7e7432f2e77a5066bc2ef46f",
+        id="recovery-corrected",
+    ),
+    pytest.param(
+        lambda: recovery_limit_draws(
+            3.0, draws=100, seed=5, disc=Discretization(step=0.005, v_max=5.0, ou_horizon=10.0)
+        ),
+        "96fe217560494935332cf5259638f9a7726fc04d618c2dff511dc306a4c60f8f",
+        id="recovery-fine-grid",
+    ),
+    pytest.param(
+        lambda: emergence_limit_draws(0.4, draws=200, seed=0),
+        "41bd28002aba2fb98b328e3bfc360d0bbad08eaaefb304bfeb8dce871f9ab00b",
+        id="emergence",
+    ),
+    pytest.param(
+        lambda: emergence_limit_draws(0.3, draws=100, seed=7, disc=Discretization(step=0.01, v_max=2.0)),
+        "5389116e56e7b30fdf6b67e74c627b344d2f782843fb37bac17c1d213a18c76b",
+        id="emergence-short-window",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, digest", GOLDEN_DRAWS)
+def test_golden_draws(make, digest):
+    sample = make()
+    assert sample.rejections == 0
+    assert hashlib.sha256(sample.values.tobytes()).hexdigest() == digest
 
 
 class TestDiscretization:

@@ -322,12 +322,21 @@ class TestLimitdistCommand:
         prefix = str(tmp_path / "x")
         assert main(["limitdist", "recovery", "--cb", "0", "--seed", "1",
                      "--draws", "2", "--out", prefix]) == 2
+        assert main(["limitdist", "recovery", "--cb", "-1", "--seed", "1",
+                     "--draws", "2", "--out", prefix]) == 2
+        assert main(["limitdist", "recovery", "--cb", "0", "--horizon", "20", "--seed", "1",
+                     "--draws", "2", "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--psi", "a,b", "--seed", "1",
                      "--draws", "2", "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--draws", "0", "--seed", "1",
                      "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--step", "2.0", "--vmax", "5",
                      "--seed", "1", "--draws", "2", "--out", prefix]) == 2
+
+    def test_default_horizon_follows_cb(self, tmp_path, capsys):
+        assert main(["limitdist", "recovery", "--cb", "0.5", "--draws", "2", "--seed", "1",
+                     "--vmax", "5", "--out", str(tmp_path / "x")]) == 0
+        assert json.loads(capsys.readouterr().out)["discretization"]["ou_horizon"] == 20.0
 
     def test_degenerate_filter_exits_three(self, tmp_path):
         # a zero-sum filter has no long-run scale; the sampler rejects it

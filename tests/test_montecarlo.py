@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
@@ -296,3 +297,33 @@ def test_serial_run_makes_one_batch_per_cell(monkeypatch):
     # one block per cell; one error draw per replication in every cell
     assert batch_rows == [cfg.reps] * len(cfg.cells())
     assert error_draws == [cell.T for cell in cfg.cells() for _ in range(cfg.reps)]
+
+
+def test_pool_run_makes_one_block_per_worker(monkeypatch):
+    import bubbledate.montecarlo as montecarlo
+
+    blocks = []
+
+    class SynchronousPool:
+        """Runs each submitted block at once and records its replication range."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, config, cell, rep_lo, rep_hi):
+            blocks.append((cell, rep_lo, rep_hi))
+            future = Future()
+            future.set_result(fn(config, cell, rep_lo, rep_hi))
+            return future
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SynchronousPool)
+    cfg = small_config(T_grid=(100, 120), reps=64)
+    pooled = run_experiment(cfg, workers=2)
+    assert blocks == [(cell, lo, lo + 32) for cell in cfg.cells() for lo in (0, 32)]
+    assert result_digest(pooled) == result_digest(run_experiment(cfg, workers=1))

@@ -207,7 +207,6 @@ class TestTrimmingPolicy:
     def test_margins_baseline(self):
         p = TrimmingPolicy(0.05)
         assert p.margin(800) == 40
-        assert p.k_lo(800) == 40
         assert p.k_hi(800) == 760
 
     def test_ceiling_guard_against_binary_rounding(self):
