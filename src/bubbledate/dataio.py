@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -161,24 +161,7 @@ def write_series_csv(path: str, series: Series, metadata: Optional[dict] = None)
 
 
 def dgp_config_to_dict(config: DgpConfig) -> dict:
-    out = {
-        "tau_e": config.tau_e,
-        "tau_c": config.tau_c,
-        "tau_r": config.tau_r,
-        "phi_a": config.phi_a,
-        "phi_b": config.phi_b,
-        "T": config.T,
-        "y0": config.y0,
-        "c0": config.c0,
-        "eta0": config.eta0,
-        "c1": config.c1,
-        "eta1": config.eta1,
-    }
-    if config.drift_pre is not None:
-        out["drift_pre"] = config.drift_pre
-    if config.drift_post is not None:
-        out["drift_post"] = config.drift_post
-    return out
+    return {k: v for k, v in asdict(config).items() if v is not None}
 
 
 def dgp_config_from_dict(data: dict) -> DgpConfig:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -64,19 +63,16 @@ class EmptyRangeError(BubbleDateError):
 class PrefixMoments:
     """Cumulative regression moments of a series.
 
-    Index k of each array holds the sum over regression times t <= k of
-    y_{t-1} y_t, y_{t-1}^2 and y_t^2 respectively; index 0 is the empty
+    Column k of ``sums`` holds the sums over regression times t <= k of
+    y_{t-1} y_t, y_{t-1}^2 and y_t^2 (rows 0, 1, 2); column 0 is the empty
     sum.  Regression times start at ``t_start`` (1 when a presample value
     y_0 is available, 2 otherwise), and earlier increments are zero, so
-    any in-sample segment sum is a difference of two entries.
+    any in-sample segment's moments are a difference of two columns.
     """
 
-    s_cross: np.ndarray = field(repr=False)
-    s_lag2: np.ndarray = field(repr=False)
-    s_sq: np.ndarray = field(repr=False)
+    sums: np.ndarray = field(repr=False)
     T: int
     t_start: int
-    y0: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -127,47 +123,40 @@ def build_prefix_moments(series: Series) -> PrefixMoments:
     T = series.T
     lags = np.empty(T, dtype=np.float64)
     lags[1:] = v[:-1]
-    if series.y0 is not None:
-        lags[0] = series.y0
-        t_start = 1
-    else:
-        lags[0] = 0.0
-        t_start = 2
-    cross = lags * v
-    lag2 = lags * lags
-    sq = v * v
-    if t_start == 2:
+    lags[0] = 0.0 if series.y0 is None else series.y0
+    products = np.stack([lags * v, lags * lags, v * v])
+    if series.y0 is None:
         # t = 1 is not a regression observation without a presample value
-        cross[0] = 0.0
-        lag2[0] = 0.0
-        sq[0] = 0.0
-    s_cross = np.zeros(T + 1, dtype=np.float64)
-    s_lag2 = np.zeros(T + 1, dtype=np.float64)
-    s_sq = np.zeros(T + 1, dtype=np.float64)
-    np.cumsum(cross, out=s_cross[1:])
-    np.cumsum(lag2, out=s_lag2[1:])
-    np.cumsum(sq, out=s_sq[1:])
-    return PrefixMoments(s_cross=s_cross, s_lag2=s_lag2, s_sq=s_sq, T=T, t_start=t_start, y0=series.y0)
+        products[:, 0] = 0.0
+    sums = np.zeros((3, T + 1), dtype=np.float64)
+    np.cumsum(products, axis=1, out=sums[:, 1:])
+    return PrefixMoments(sums=sums, T=T, t_start=1 if series.y0 is not None else 2)
 
 
-def _clamp_ssr(ssr, seg_sq):
-    """Elementwise SSR_CLAMP_REL clamp of rounding-noise negative SSRs."""
-    return np.where((ssr < 0.0) & (-ssr <= SSR_CLAMP_REL * seg_sq), 0.0, ssr)
+def _fit(d):
+    """AR(1) slope and SSR of segments with moment differences ``d``.
+
+    ``d`` holds the (cross, lag2, sq) differences along axis 0, in any
+    trailing shape.  A tiny negative SSR within SSR_CLAMP_REL of the
+    segment's sum of squares is clamped to zero.
+    """
+    cross, lag2, sq = d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = cross / lag2
+        ssr = sq - phi * phi * lag2
+    return phi, np.where((ssr < 0.0) & (-ssr <= SSR_CLAMP_REL * sq), 0.0, ssr)
 
 
 def fit_segment(moments: PrefixMoments, start: int, end: int) -> SegmentFit:
     """Fit y_t = phi * y_{t-1} on regression times start..end (inclusive)."""
     if not (1 <= start <= end <= moments.T):
         raise EmptyRangeError(f"segment [{start}, {end}] outside 1..{moments.T}")
-    d_lag2 = float(moments.s_lag2[end] - moments.s_lag2[start - 1])
-    if d_lag2 == 0.0:
+    d = moments.sums[:, end] - moments.sums[:, start - 1]
+    if d[1] == 0.0:
         raise DegenerateSegmentError(f"segment [{start}, {end}] has zero lagged sum of squares")
-    d_cross = float(moments.s_cross[end] - moments.s_cross[start - 1])
-    d_sq = float(moments.s_sq[end] - moments.s_sq[start - 1])
-    phi_hat = d_cross / d_lag2
-    ssr = float(_clamp_ssr(d_sq - phi_hat * phi_hat * d_lag2, d_sq))
+    phi_hat, ssr = _fit(d)
     n_obs = end - max(start, moments.t_start) + 1
-    return SegmentFit(phi_hat=phi_hat, ssr=ssr, n_obs=n_obs)
+    return SegmentFit(phi_hat=float(phi_hat), ssr=float(ssr), n_obs=n_obs)
 
 
 def ssr_split(moments: PrefixMoments, k: int) -> float:
@@ -192,23 +181,15 @@ def _scan(moments: PrefixMoments, seg_start: int, seg_end: int, k_lo: int, k_hi:
             f"candidates [{k_lo}, {k_hi}] must split [{seg_start}, {seg_end}] into nonempty segments"
         )
     ks = np.arange(k_lo, k_hi + 1)
-    c0 = moments.s_cross[seg_start - 1]
-    l0 = moments.s_lag2[seg_start - 1]
-    q0 = moments.s_sq[seg_start - 1]
-    d_c1 = moments.s_cross[ks] - c0
-    d_l1 = moments.s_lag2[ks] - l0
-    d_q1 = moments.s_sq[ks] - q0
-    d_c2 = moments.s_cross[seg_end] - moments.s_cross[ks]
-    d_l2 = moments.s_lag2[seg_end] - moments.s_lag2[ks]
-    d_q2 = moments.s_sq[seg_end] - moments.s_sq[ks]
-    ok = (d_l1 > 0.0) & (d_l2 > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi1 = d_c1 / d_l1
-        phi2 = d_c2 / d_l2
-        ssr1 = d_q1 - phi1 * phi1 * d_l1
-        ssr2 = d_q2 - phi2 * phi2 * d_l2
-    ssr1 = _clamp_ssr(ssr1, d_q1)
-    ssr2 = _clamp_ssr(ssr2, d_q2)
+    sums = moments.sums
+    at_k = sums.take(ks, axis=1)
+    # left segments [seg_start, k] in d[:, 0], right segments [k+1, seg_end]
+    # in d[:, 1], so that one _fit call covers both sides of every candidate
+    d = np.empty((3, 2, ks.size))
+    np.subtract(at_k, sums[:, seg_start - 1, None], out=d[:, 0])
+    np.subtract(sums[:, seg_end, None], at_k, out=d[:, 1])
+    ok = (d[1, 0] > 0.0) & (d[1, 1] > 0.0)
+    ssr1, ssr2 = _fit(d)[1]
     total = ssr1 + ssr2
     if not ok.any():
         raise DegenerateSegmentError(

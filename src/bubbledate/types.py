@@ -109,6 +109,10 @@ class Series:
     labels : tuple of str, optional
         Per-observation labels (calendar dates, usually), same length as
         ``values``.
+
+    Construction raises one :class:`SeriesValidationError` that lists
+    every non-finite observation, a label-length mismatch and a
+    non-finite ``y0`` together.
     """
 
     values: np.ndarray
@@ -119,7 +123,11 @@ class Series:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise SeriesValidationError([f"expected 1-d values, got shape {values.shape}"])
-        issues = _collect_series_issues(values, self.labels, self.y0)
+        issues = [NonFinite(int(i) + 1) for i in np.nonzero(~np.isfinite(values))[0]]
+        if self.labels is not None and len(self.labels) != values.shape[0]:
+            issues.append(LabelMismatch(expected=int(values.shape[0]), actual=len(self.labels)))
+        if self.y0 is not None and not math.isfinite(self.y0):
+            issues.append("y0 is not finite")
         if issues:
             raise SeriesValidationError(issues)
         values = values.copy()
@@ -133,35 +141,24 @@ class Series:
         return int(self.values.shape[0])
 
 
-def _collect_series_issues(values: np.ndarray, labels, y0) -> list:
-    issues: list = []
-    finite = np.isfinite(values)
-    if not finite.all():
-        issues.extend(NonFinite(int(i) + 1) for i in np.nonzero(~finite)[0])
-    if labels is not None and len(labels) != values.shape[0]:
-        issues.append(LabelMismatch(expected=int(values.shape[0]), actual=len(labels)))
-    if y0 is not None and not math.isfinite(y0):
-        issues.append("y0 is not finite")
-    return issues
-
-
 def validate_series(values, labels=None, y0: Optional[float] = None) -> Series:
     """Validate raw observations for estimation and wrap them in a Series.
 
     Collects every violated invariant (non-finite entries by position,
-    length below the estimation minimum, label-length mismatch) into a
+    label-length mismatch, length below the estimation minimum) into a
     single :class:`SeriesValidationError` rather than stopping at the
-    first problem.
+    first problem.  :class:`Series` collects all but the length rule,
+    which applies only to data meant for estimation.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise SeriesValidationError([f"expected 1-d values, got shape {values.shape}"])
-    issues = _collect_series_issues(values, labels, y0)
-    if values.shape[0] < MIN_ESTIMATION_LENGTH:
-        issues.append(TooShort(int(values.shape[0])))
-    if issues:
-        raise SeriesValidationError(issues)
-    return Series(values, y0=y0, labels=labels)
+    short = [TooShort(len(values))] if values.ndim == 1 and len(values) < MIN_ESTIMATION_LENGTH else []
+    try:
+        series = Series(values, y0=y0, labels=labels)
+    except SeriesValidationError as exc:
+        raise SeriesValidationError(exc.issues + short) from None
+    if short:
+        raise SeriesValidationError(short)
+    return series
 
 
 @dataclass(frozen=True)
@@ -222,7 +219,7 @@ class DgpConfig:
             if v is not None and not math.isfinite(v):
                 problems.append(f"{name} must be finite when set")
         if not problems:
-            k_e, k_c, k_r = self._break_indices_unchecked()
+            k_e, k_c, k_r = self.break_indices
             if not (1 <= k_e < k_c < k_r <= self.T):
                 problems.append(
                     f"break fractions map to non-increasing dates "
@@ -231,16 +228,11 @@ class DgpConfig:
         if problems:
             raise ConfigError(problems)
 
-    def _break_indices_unchecked(self):
-        k_e = int(math.floor(self.tau_e * self.T + _GRID_EPS))
-        k_c = int(math.floor(self.tau_c * self.T + _GRID_EPS))
-        k_r = int(math.floor(self.tau_r * self.T + _GRID_EPS))
-        return k_e, k_c, k_r
-
     @property
     def break_indices(self) -> tuple:
         """True break dates ``(k_e, k_c, k_r)`` implied by the fractions."""
-        return self._break_indices_unchecked()
+        taus = (self.tau_e, self.tau_c, self.tau_r)
+        return tuple(int(math.floor(tau * self.T + _GRID_EPS)) for tau in taus)
 
     @property
     def drift_pre_value(self) -> float:
