@@ -13,9 +13,13 @@ objective over a discretized grid:
 Ito integrals against adapted integrands use left-endpoint sums; the
 integral of B~ against dB_1 pairs each increment with the tail value at
 the next grid point instead, because B~ looks forward and already
-contains the current increment.  B~ itself is built by an exponentially
-discounted backward recursion over Brownian increments on an extended
-horizon so its truncation error is exp(-c_b * horizon).
+contains the current increment.  B~ itself is built by the exponentially
+discounted backward recursion x_i = dB_1[i] + rho x_{i+1}, rho =
+exp(-c_b step), over the increments on [0, v_max).  The recursion starts
+from B~(v_max), which is independent of those increments and is drawn
+from the recursion's stationary law N(0, step / (1 - rho^2)), the exact
+Ornstein-Uhlenbeck update (Gillespie 1996).  Nothing beyond v_max is
+simulated and nothing is truncated.
 """
 from __future__ import annotations
 
@@ -55,14 +59,13 @@ class ZeroLongRunVarianceError(BubbleDateError):
 class Discretization:
     """Grid controls shared by the limit-law samplers.
 
-    ``step`` is the grid spacing, ``v_max`` the half-width of the argmax
-    search window, and ``ou_horizon`` the extra horizon carried beyond
-    v_max when building the tail process.
+    ``step`` is the grid spacing and ``v_max`` the half-width of the
+    argmax search window.  The tail process needs nothing beyond v_max:
+    it starts there from its exact stationary law.
     """
 
     step: float = 0.01
     v_max: float = 50.0
-    ou_horizon: float = 10.0
 
     def __post_init__(self):
         problems = []
@@ -72,27 +75,11 @@ class Discretization:
             problems.append(f"v_max must be positive, got {self.v_max}")
         elif self.step > 0.01 * self.v_max * (1.0 + 1e-12):
             problems.append(f"step must not exceed v_max/100, got step={self.step}, v_max={self.v_max}")
-        if not (self.ou_horizon > 0.0 and math.isfinite(self.ou_horizon)):
-            problems.append(f"ou_horizon must be positive, got {self.ou_horizon}")
         if problems:
             raise ConfigError(problems)
 
-    @staticmethod
-    def default(c_b: float) -> "Discretization":
-        return Discretization(ou_horizon=max(_min_horizon(c_b), 10.0))
-
     def n_grid(self) -> int:
         return int(round(self.v_max / self.step))
-
-    def require_horizon(self, c_b: float) -> None:
-        need = _min_horizon(c_b)
-        if self.ou_horizon < need - 1e-12:
-            raise ConfigError([f"ou_horizon={self.ou_horizon} too short for c_b={c_b}; need at least {need}"])
-
-
-def _min_horizon(c_b: float) -> float:
-    # truncating B~ at this horizon leaves an error of exp(-10)
-    return 10.0 / _require_c_b(c_b)
 
 
 @dataclass(frozen=True)
@@ -137,9 +124,12 @@ def bn_decompose(coeffs: LinearProcessCoeffs) -> BnDecomposition:
 class OuPath:
     """Discretized tail process with the Brownian increments that drove it.
 
-    ``b_tilde[i]`` approximates B~(grid[i]); ``db1[i]`` is the increment of
-    B_1 over [grid[i], grid[i+1]), shared with the stochastic integrals on
-    the negative branch of the recovery objective.
+    ``b_tilde[i]`` is the discrete tail process at grid[i], b_tilde[i] =
+    db1[i] + rho * b_tilde[i+1] with rho = exp(-c_b * step); it is exactly
+    stationary, with variance step / (1 - rho^2) at every grid point.
+    ``db1[i]`` is the increment of B_1 over [grid[i], grid[i+1]), shared
+    with the stochastic integrals on the negative branch of the recovery
+    objective.
     """
 
     grid: np.ndarray = field(repr=False)
@@ -150,19 +140,19 @@ class OuPath:
 
 
 def _tail_process(c_b: float, disc: Discretization, rng) -> tuple:
-    """B~ on [0, v_max] and dB_1 on [0, v_max), from dB_1 drawn over [0, v_max + ou_horizon]; no checks."""
+    """B~ on [0, v_max] and dB_1 on [0, v_max), B~(v_max) drawn from its stationary law; no checks."""
     n = disc.n_grid()
-    n_ext = int(round((disc.v_max + disc.ou_horizon) / disc.step))
-    db_ext = rng.standard_normal(n_ext) * math.sqrt(disc.step)
-    # x[i] = db_ext[i] + exp(-c_b step) * x[i+1], computed right to left
-    rev = lfilter([1.0], [1.0, -math.exp(-c_b * disc.step)], db_ext[::-1])
-    return rev[::-1][: n + 1], db_ext[:n]
+    rho = math.exp(-c_b * disc.step)
+    db1 = rng.standard_normal(n) * math.sqrt(disc.step)
+    x_end = rng.standard_normal() * math.sqrt(disc.step / -math.expm1(-2.0 * c_b * disc.step))
+    # x[i] = db1[i] + rho * x[i+1], computed right to left from x[n] = x_end
+    rev, _ = lfilter([1.0], [1.0, -rho], db1[::-1], zi=[rho * x_end])
+    return np.concatenate([rev[::-1], [x_end]]), db1
 
 
 def sample_ou_path(c_b: float, disc: Discretization, seed_or_rng) -> OuPath:
     """Draw one discretized tail-process path on [0, v_max]."""
-    disc.require_horizon(c_b)
-    b_tilde, db1 = _tail_process(c_b, disc, as_generator(seed_or_rng))
+    b_tilde, db1 = _tail_process(_require_c_b(c_b), disc, as_generator(seed_or_rng))
     grid = np.arange(disc.n_grid() + 1) * disc.step
     return OuPath(grid=grid, b_tilde=b_tilde, db1=db1, c_b=c_b, step=disc.step)
 
@@ -262,10 +252,9 @@ def recovery_limit_draws(
     Draw i comes from the (seed, i) stream, so any subset or reordering of
     the batch reproduces the same values.
     """
-    disc = disc or Discretization.default(c_b)
-    disc.require_horizon(c_b)
+    _require_c_b(c_b)
     bn = bn_decompose(correction) if correction is not None else None
-    return _draw_batch(partial(_one_recovery_draw, c_b, disc, bn), draws, seed)
+    return _draw_batch(partial(_one_recovery_draw, c_b, disc or Discretization(), bn), draws, seed)
 
 
 def _emergence_objective(w_left: np.ndarray, w_right: np.ndarray, level: float, step: float) -> tuple:

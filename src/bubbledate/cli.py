@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--seed", type=int, required=True)
     p_lim.add_argument("--step", type=float, default=0.01)
     p_lim.add_argument("--vmax", type=float, default=50.0)
-    p_lim.add_argument("--horizon", type=float, default=None, help="tail-process horizon (default: Discretization.default(cb))")
     p_lim.add_argument("--out", required=True, help="output file prefix")
     return parser
 
@@ -213,9 +212,7 @@ def cmd_limitdist(args) -> int:
         except ValueError:
             raise ConfigError([f"cannot parse --psi {args.psi!r} as comma-separated numbers"]) from None
         correction = LinearProcessCoeffs(coeffs)
-    disc = Discretization.default(args.cb) if args.law == "recovery" else Discretization()
-    horizon = disc.ou_horizon if args.horizon is None else args.horizon
-    disc = replace(disc, step=args.step, v_max=args.vmax, ou_horizon=horizon)
+    disc = Discretization(step=args.step, v_max=args.vmax)
     if args.law == "recovery":
         sample = recovery_limit_draws(
             args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=correction

@@ -266,10 +266,16 @@ def explosion_exponent(phi_a: float, T: int, c_a: float = 1.0) -> float:
     return (math.log(c_a) - math.log(phi_a - 1.0)) / math.log(T)
 
 
+# Smallest accepted c_b.  The recovery sampler squares the tail process,
+# whose variance is 1/(2 c_b); near the subnormal range those squares and
+# 1/(2 c_b) itself overflow float64.
+_C_B_MIN = 1e-300
+
+
 def _require_c_b(c_b: float) -> float:
-    """The collapse intensity c_b, which must be positive everywhere it is used."""
-    if c_b <= 0.0:
-        raise ConfigError([f"c_b must be positive, got {c_b}"])
+    """The collapse intensity c_b, which must be finite and at least _C_B_MIN everywhere it is used."""
+    if not (c_b >= _C_B_MIN and math.isfinite(c_b)):
+        raise ConfigError([f"c_b must be finite and at least {_C_B_MIN}, got {c_b}"])
     return c_b
 
 

@@ -1,15 +1,19 @@
-"""Shared naive oracles for the test suite.
+"""Shared naive oracles and shared samples for the test suite.
 
 Every helper here recomputes its target quantity by the most direct route
 available (explicit residual sums, plain-python recursions, exhaustive
 scans) so the library's prefix-moment and vectorized paths are checked
-against independent arithmetic.
+against independent arithmetic.  Expensive samples that several modules
+read are drawn once per session by the fixtures at the end.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import pytest
+
+from bubbledate import recovery_limit_draws
 
 # mirror of the library's guards, applied to independently computed sums
 TIE_REL = 1e-9
@@ -132,3 +136,9 @@ def three_phase_tent(T=40, k_e=16, k_c=24, k_r=32, up=1.2, down=0.8):
         values[t - 1] = values[t - 2] * down
     values[k_r:] = values[k_r - 1]
     return values
+
+
+@pytest.fixture(scope="session")
+def default_recovery_sample():
+    """Recovery draws at c_b = 1 on the default grid: seed 0, 10,000 draws."""
+    return recovery_limit_draws(1.0, draws=10_000, seed=0)

@@ -136,7 +136,7 @@ def test_criterion_06_ou_second_moment():
         # keep c_b * step small; the discrete tail sum inflates the
         # variance by the factor 2*c_b*step / (1 - exp(-2*c_b*step))
         step = min(0.01, 0.01 / c_b)
-        disc = Discretization(step=step, v_max=1.0, ou_horizon=max(10.0 / c_b, 10.0))
+        disc = Discretization(step=step, v_max=1.0)
         rng = stream(6, j)
         m2 = float(
             np.mean([sample_ou_path(c_b, disc, rng).b_tilde[0] ** 2 for _ in range(10_000)])
@@ -148,10 +148,10 @@ def test_criterion_06_ou_second_moment():
     print(f"criterion 6: second-moment errors {printed} (need <= 5%)")
 
 
-def test_criterion_07_white_noise_correction_is_neutral():
+def test_criterion_07_white_noise_correction_is_neutral(default_recovery_sample):
     white = LinearProcessCoeffs((1.0,))
     assert bn_decompose(white).psi_check == 0.0
-    plain = recovery_limit_draws(1.0, draws=10_000, seed=0)
+    plain = default_recovery_sample
     corrected = recovery_limit_draws(1.0, draws=10_000, seed=0, correction=white)
     ks = stats.ks_2samp(plain.values, corrected.values)
     critical = 1.628 * math.sqrt(2.0 / 10_000)  # two-sample KS at the 1% level

@@ -24,11 +24,10 @@ N_DRAWS = 10_000
 
 
 @pytest.fixture(scope="module")
-def recovery_draws():
+def recovery_draws(default_recovery_sample):
     """Common-seed recovery draws at the default grid and at half the step."""
-    base = recovery_limit_draws(1.0, draws=N_DRAWS, seed=0)
     half = recovery_limit_draws(1.0, draws=N_DRAWS, disc=Discretization(step=0.005), seed=0)
-    return base, half
+    return default_recovery_sample, half
 
 
 @pytest.fixture(scope="module")
@@ -69,19 +68,19 @@ def assert_quantiles_stable(a, b):
 GOLDEN_DRAWS = [
     pytest.param(
         lambda: recovery_limit_draws(1.0, draws=200, seed=0),
-        "15d324d5de610e9c1ce7cef3c8166433dd4a9a6327eabf11a43360afad8b8459",
+        "931056a4711cc263668b5e31d12e426f79b1c88f21210d078da227961d47d7c4",
         id="recovery",
     ),
     pytest.param(
         lambda: recovery_limit_draws(1.0, draws=200, seed=0, correction=LinearProcessCoeffs((1.0, 0.5))),
-        "3a758499793f1defc1fd9891884aa6431d24e44b7e7432f2e77a5066bc2ef46f",
+        "1fe21b2c337c4aad2f4e560579bc88e78d6b1f717c4320dd817d0d421e814ad9",
         id="recovery-corrected",
     ),
     pytest.param(
         lambda: recovery_limit_draws(
-            3.0, draws=100, seed=5, disc=Discretization(step=0.005, v_max=5.0, ou_horizon=10.0)
+            3.0, draws=100, seed=5, disc=Discretization(step=0.005, v_max=5.0)
         ),
-        "96fe217560494935332cf5259638f9a7726fc04d618c2dff511dc306a4c60f8f",
+        "0bd338748acde90fdb21015fae652e15de922d990c923bb030c27da653c53080",
         id="recovery-fine-grid",
     ),
     pytest.param(
@@ -111,11 +110,6 @@ class TestDiscretization:
         assert disc.v_max == 50.0
         assert disc.n_grid() == 5000
 
-    def test_default_horizon_scales_with_mean_reversion(self):
-        assert Discretization.default(0.5).ou_horizon == 20.0
-        assert Discretization.default(1.0).ou_horizon == 10.0
-        assert Discretization.default(5.0).ou_horizon == 10.0
-
     def test_step_must_resolve_window(self):
         with pytest.raises(ConfigError):
             Discretization(step=0.2, v_max=10.0)
@@ -126,13 +120,6 @@ class TestDiscretization:
             Discretization(step=0.0)
         with pytest.raises(ConfigError):
             Discretization(v_max=-1.0)
-        with pytest.raises(ConfigError):
-            Discretization(ou_horizon=0.0)
-
-    def test_horizon_requirement(self):
-        with pytest.raises(ConfigError):
-            Discretization().require_horizon(0.5)
-        Discretization().require_horizon(1.0)
 
 
 class TestBnDecompose:
@@ -186,7 +173,7 @@ class TestBnDecompose:
 
 class TestOuSampler:
     def test_path_shapes_and_grid(self):
-        disc = Discretization(step=0.01, v_max=2.0, ou_horizon=10.0)
+        disc = Discretization(step=0.01, v_max=2.0)
         path = sample_ou_path(1.0, disc, 3)
         assert path.b_tilde.shape == (201,)
         assert path.db1.shape == (200,)
@@ -194,7 +181,7 @@ class TestOuSampler:
         assert path.grid[-1] == pytest.approx(2.0)
 
     def test_stationary_second_moment(self):
-        disc = Discretization(step=0.01, v_max=5.0, ou_horizon=10.0)
+        disc = Discretization(step=0.01, v_max=5.0)
         rng = stream(100)
         paths = np.array([sample_ou_path(1.0, disc, rng).b_tilde for _ in range(N_DRAWS)])
         for s in (0.0, 1.0, 2.0):
@@ -207,30 +194,37 @@ class TestOuSampler:
     def test_fast_mean_reversion_variance(self):
         # c_b * step must stay small or the discrete sum inflates the
         # variance by 2*c_b*step / (1 - exp(-2*c_b*step))
-        disc = Discretization(step=1e-4, v_max=0.05, ou_horizon=0.1)
+        disc = Discretization(step=1e-4, v_max=0.05)
         rng = stream(101)
         v0 = np.array([sample_ou_path(100.0, disc, rng).b_tilde[0] for _ in range(N_DRAWS)])
         assert float((v0**2).mean()) == pytest.approx(0.005, rel=0.10)
 
+    def test_exact_start_at_weak_mean_reversion(self):
+        # c_b * v_max = 0.25, so B~(0) depends strongly on the start B~(v_max);
+        # both ends must carry the recursion's stationary variance
+        disc = Discretization(step=0.01, v_max=1.0)
+        rng = stream(102)
+        paths = np.array([sample_ou_path(0.25, disc, rng).b_tilde for _ in range(N_DRAWS)])
+        want = disc.step / -math.expm1(-2.0 * 0.25 * disc.step)
+        assert float((paths[:, 0] ** 2).mean()) == pytest.approx(want, rel=0.05)
+        assert float((paths[:, -1] ** 2).mean()) == pytest.approx(want, rel=0.05)
+
     def test_deterministic_given_seed(self):
-        disc = Discretization(step=0.01, v_max=1.0, ou_horizon=10.0)
+        disc = Discretization(step=0.01, v_max=1.0)
         a = sample_ou_path(1.0, disc, 9)
         b = sample_ou_path(1.0, disc, 9)
         assert np.array_equal(a.b_tilde, b.b_tilde)
         assert np.array_equal(a.db1, b.db1)
 
-    def test_short_horizon_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_ou_path(0.5, Discretization(), 0)
-
     def test_nonpositive_mean_reversion_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_ou_path(0.0, Discretization(), 0)
+        for bad in (0.0, 1e-310, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                sample_ou_path(bad, Discretization(), 0)
 
 
 class TestRecoveryObjective:
     def test_zero_at_origin(self):
-        disc = Discretization(step=0.01, v_max=1.0, ou_horizon=10.0)
+        disc = Discretization(step=0.01, v_max=1.0)
         path = sample_ou_path(1.0, disc, 21)
         db2 = stream(22).standard_normal(100) * math.sqrt(0.01)
         v_grid, values = _recovery_objective(
@@ -300,6 +294,9 @@ class TestRecoveryLaw:
             recovery_limit_draws(0.0, draws=1)
         with pytest.raises(ConfigError):
             recovery_limit_draws(-1.0, draws=10)
+        for bad in (1e-310, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                recovery_limit_draws(bad, draws=1, disc=Discretization(v_max=5.0))
 
     @pytest.mark.parametrize("draws", [0, -1])
     def test_rejects_nonpositive_draws(self, draws):

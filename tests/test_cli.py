@@ -288,7 +288,7 @@ class TestLimitdistCommand:
         rows = list(csv.reader(open(prefix + "_draws.csv")))
         assert len(rows) == 26
         got = np.array([float(r[1]) for r in rows[1:]])
-        disc = Discretization(step=0.01, v_max=5.0, ou_horizon=10.0)
+        disc = Discretization(step=0.01, v_max=5.0)
         want = recovery_limit_draws(1.0, draws=25, disc=disc, seed=3).values
         assert np.array_equal(got, want)
 
@@ -324,8 +324,9 @@ class TestLimitdistCommand:
                      "--draws", "2", "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--cb", "-1", "--seed", "1",
                      "--draws", "2", "--out", prefix]) == 2
-        assert main(["limitdist", "recovery", "--cb", "0", "--horizon", "20", "--seed", "1",
-                     "--draws", "2", "--out", prefix]) == 2
+        for bad in ("nan", "inf", "5e-324"):
+            assert main(["limitdist", "recovery", "--cb", bad, "--seed", "1",
+                         "--draws", "2", "--vmax", "5", "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--psi", "a,b", "--seed", "1",
                      "--draws", "2", "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--draws", "0", "--seed", "1",
@@ -333,10 +334,9 @@ class TestLimitdistCommand:
         assert main(["limitdist", "recovery", "--step", "2.0", "--vmax", "5",
                      "--seed", "1", "--draws", "2", "--out", prefix]) == 2
 
-    def test_default_horizon_follows_cb(self, tmp_path, capsys):
-        assert main(["limitdist", "recovery", "--cb", "0.5", "--draws", "2", "--seed", "1",
-                     "--vmax", "5", "--out", str(tmp_path / "x")]) == 0
-        assert json.loads(capsys.readouterr().out)["discretization"]["ou_horizon"] == 20.0
+    def test_weak_mean_reversion_runs(self, tmp_path):
+        assert main(["limitdist", "recovery", "--cb", "1e-6", "--vmax", "5", "--draws", "2",
+                     "--seed", "1", "--out", str(tmp_path / "x")]) == 0
 
     def test_degenerate_filter_exits_three(self, tmp_path):
         # a zero-sum filter has no long-run scale; the sampler rejects it
