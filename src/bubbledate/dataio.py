@@ -208,7 +208,6 @@ def error_spec_to_dict(spec: ErrorSpec) -> dict:
             "kind": "linear_process",
             "psi": list(spec.coeffs.psi),
             "innovation_sigma": spec.innovation_sigma,
-            "burn_in": spec.burn_in,
         }
     raise ConfigError([f"unsupported error spec: {type(spec).__name__}"])
 
@@ -227,7 +226,6 @@ def error_spec_from_dict(data: dict) -> ErrorSpec:
         return LinearProcess(
             coeffs=LinearProcessCoeffs(tuple(data["psi"])),
             innovation_sigma=data.get("innovation_sigma", 1.0),
-            burn_in=data.get("burn_in"),
         )
     raise ConfigError([f"unknown error spec kind {kind!r}"])
 

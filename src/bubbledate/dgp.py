@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -27,10 +27,6 @@ __all__ = [
     "simulate",
     "batch_paths",
 ]
-
-# Default pre-sample length for linear-process errors.  Must cover the
-# filter order so every in-sample error sees a fully populated filter.
-DEFAULT_BURN_IN = 50
 
 
 @dataclass(frozen=True)
@@ -61,26 +57,19 @@ class LinearProcess:
 
     coeffs: LinearProcessCoeffs
     innovation_sigma: float = 1.0
-    burn_in: Optional[int] = None
 
     def __post_init__(self):
         if not (self.innovation_sigma > 0.0 and math.isfinite(self.innovation_sigma)):
             raise ConfigError([f"innovation_sigma must be positive and finite, got {self.innovation_sigma}"])
-        if self.burn_in is None:
-            object.__setattr__(self, "burn_in", max(self.coeffs.order, DEFAULT_BURN_IN))
-        elif self.burn_in < self.coeffs.order:
-            raise ConfigError(
-                [f"burn_in must be at least the filter order {self.coeffs.order}, got {self.burn_in}"]
-            )
 
 
 ErrorSpec = Union[IidGaussian, VolatilityScaled, LinearProcess]
 
 
-def _filter_innovations(psi: np.ndarray, v: np.ndarray, burn_in: int, T: int) -> np.ndarray:
-    # v covers t = 1 - burn_in .. T; the full convolution at output index
-    # burn_in + (t - 1) is sum_j psi_j v_{t-j}, fully inside v for t >= 1.
-    return np.convolve(v, psi, mode="full")[burn_in : burn_in + T]
+def _filter_innovations(psi: np.ndarray, v: np.ndarray, T: int) -> np.ndarray:
+    # v holds v_{1-L} .. v_T for psi_0..psi_L, e_1 reading back to v_{1-L};
+    # "valid" output t - 1 is sum_j psi_j v_{t-j}.
+    return np.convolve(v, psi, mode="valid")[:T]
 
 
 def generate_errors(spec: ErrorSpec, T: int, seed_or_rng) -> np.ndarray:
@@ -99,8 +88,8 @@ def generate_errors(spec: ErrorSpec, T: int, seed_or_rng) -> np.ndarray:
         t = np.arange(1, T + 1, dtype=np.float64)
         return spec.profile.omega_array(t / T) * z
     if isinstance(spec, LinearProcess):
-        v = spec.innovation_sigma * rng.standard_normal(spec.burn_in + T)
-        return _filter_innovations(spec.coeffs.as_array(), v, spec.burn_in, T)
+        v = spec.innovation_sigma * rng.standard_normal(spec.coeffs.order + T)
+        return _filter_innovations(spec.coeffs.as_array(), v, T)
     raise ConfigError([f"unsupported error spec: {type(spec).__name__}"])
 
 

@@ -18,6 +18,8 @@ from bubbledate import recovery_limit_draws
 # mirror of the library's guards, applied to independently computed sums
 TIE_REL = 1e-9
 GRID_EPS = 1e-9
+# cap on (candidates x window) elements per block of the vectorized scan
+BLOCK_ELEMENTS = 1 << 20
 
 
 def naive_segment_fit(values, y0, start, end):
@@ -77,23 +79,75 @@ def naive_window_scan(values, y0, seg_start, seg_end, k_lo, k_hi):
     return next(k for k, ssr in candidates if ssr <= band)
 
 
-def naive_sequential_dates(values, y0, rho=0.05):
+def explicit_window_scan(values, y0, seg_start, seg_end, k_lo, k_hi):
+    """``naive_window_scan`` vectorized over blocks of candidates.
+
+    Each candidate's segment slopes and SSRs are masked sums of explicit
+    residuals over the window, never differences of prefix sums.  Without
+    ``y0``, t = 1 enters as a zero (lag, value) pair, which adds exact
+    zeros to every sum, like the t >= 2 sample of the naive loops.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    lag = np.concatenate([[0.0 if y0 is None else y0], values[:-1]])[seg_start - 1 : seg_end]
+    obs = values[seg_start - 1 : seg_end].copy()
+    if y0 is None and seg_start == 1:
+        obs[0] = 0.0
+    cross, lag2 = lag * obs, lag * lag
+    times = np.arange(seg_start, seg_end + 1)
+    ks_all = np.arange(k_lo, k_hi + 1)
+    block = max(1, BLOCK_ELEMENTS // times.size)
+    ks_kept, ssr_kept = [], []
+    for lo in range(0, ks_all.size, block):
+        ks = ks_all[lo : lo + block]
+        left = times[None, :] <= ks[:, None]
+        total = np.zeros(ks.size)
+        ok = np.ones(ks.size, dtype=bool)
+        for mask in (left, ~left):
+            num = np.where(mask, cross, 0.0).sum(axis=1)
+            den = np.where(mask, lag2, 0.0).sum(axis=1)
+            ok &= den != 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi = num / den
+            resid = np.where(mask, obs - phi[:, None] * lag, 0.0)
+            total += np.einsum("ij,ij->i", resid, resid)
+        ks_kept.append(ks[ok])
+        ssr_kept.append(total[ok])
+    ks_ok = np.concatenate(ks_kept)
+    ssr_ok = np.concatenate(ssr_kept)
+    if ks_ok.size == 0:
+        return None
+    best = float(ssr_ok.min())
+    return int(ks_ok[np.nonzero(ssr_ok <= best + TIE_REL * abs(best))[0][0]])
+
+
+def naive_sequential_dates(values, y0, rho=0.05, scan=naive_window_scan):
     """Three-step estimation mirrored with naive scans.
 
+    ``scan`` is ``naive_window_scan`` or ``explicit_window_scan``.
     Returns (k_e, k_c, k_r) with None entries where a step's candidate
     range is empty or fully degenerate.
     """
     T = len(values)
     margin = int(math.ceil(rho * T - GRID_EPS))
     k_hi = int(math.floor((1.0 - rho) * T + GRID_EPS))
-    k_c = naive_window_scan(values, y0, 1, T, margin, k_hi)
+    k_c = scan(values, y0, 1, T, margin, k_hi)
     k_e = None
     if margin <= k_c - margin:
-        k_e = naive_window_scan(values, y0, 1, k_c, margin, k_c - margin)
+        k_e = scan(values, y0, 1, k_c, margin, k_c - margin)
     k_r = None
     if k_c + margin + 1 <= k_hi:
-        k_r = naive_window_scan(values, y0, k_c + 1, T, k_c + margin + 1, k_hi)
+        k_r = scan(values, y0, k_c + 1, T, k_c + margin + 1, k_hi)
     return k_e, k_c, k_r
+
+
+def naive_backward_recursion(rho, d):
+    """x[-1] = d[-1] and x[i] = d[i] + rho * x[i+1], one step at a time."""
+    x = [0.0] * len(d)
+    acc = 0.0
+    for i in range(len(d) - 1, -1, -1):
+        acc = float(d[i]) + rho * acc
+        x[i] = acc
+    return x
 
 
 def plain_recursion_path(config, errors):

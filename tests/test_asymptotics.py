@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import naive_backward_recursion
+
 from bubbledate import (
     ConfigError,
     Discretization,
@@ -17,7 +19,7 @@ from bubbledate import (
     recovery_limit_draws,
     sample_ou_path,
 )
-from bubbledate.asymptotics import _emergence_objective, _recovery_objective
+from bubbledate.asymptotics import _emergence_objective, _recovery_objective, lfilter
 from bubbledate.rng import stream
 
 N_DRAWS = 10_000
@@ -169,6 +171,16 @@ class TestBnDecompose:
     def test_zero_sum_rejected(self):
         with pytest.raises(ZeroLongRunVarianceError):
             bn_decompose(LinearProcessCoeffs((1.0, -1.0)))
+
+
+@pytest.mark.parametrize("rho", [0.0, math.exp(-1e-8), math.exp(-0.01), math.exp(-1.0)])
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 5001])
+def test_lfilter_matches_backward_loop(n, rho):
+    d = stream(n).standard_normal(n)
+    ref = np.array(naive_backward_recursion(rho, d))
+    got = lfilter(rho, d)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestOuSampler:

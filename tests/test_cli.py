@@ -4,12 +4,16 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import three_phase_tent
 
+import bubbledate
 from bubbledate import Discretization, recovery_limit_draws
 from bubbledate.cli import main
 
@@ -343,3 +347,12 @@ class TestLimitdistCommand:
         prefix = str(tmp_path / "zero")
         assert main(["limitdist", "recovery", "--psi", "1,-1", "--seed", "1",
                      "--draws", "2", "--vmax", "5", "--out", prefix]) == 3
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy alone: importing the CLI loads no scipy module."""
+    src = Path(bubbledate.__file__).resolve().parents[1]
+    probe = "import sys, bubbledate.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -211,7 +211,7 @@ class TestConfigDicts:
             IidGaussian(2.0),
             VolatilityScaled(ConstantVolatility(1.5)),
             VolatilityScaled(SingleShiftVolatility(1.0, 3.0, 0.5)),
-            LinearProcess(LinearProcessCoeffs((1.0, 0.5, 0.25)), innovation_sigma=2.0, burn_in=7),
+            LinearProcess(LinearProcessCoeffs((1.0, 0.5, 0.25)), innovation_sigma=2.0),
         ]
         for spec in specs:
             assert error_spec_from_dict(error_spec_to_dict(spec)) == spec

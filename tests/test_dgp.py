@@ -21,7 +21,7 @@ from bubbledate import (
     generate_errors,
     simulate,
 )
-from bubbledate.dgp import DEFAULT_BURN_IN, _filter_innovations
+from bubbledate.dgp import _filter_innovations
 from bubbledate.rng import stream
 
 
@@ -125,28 +125,19 @@ class TestErrorSpecs:
         assert ratio == pytest.approx(9.0, rel=0.20)
 
     def test_linear_process_identity_filter(self):
-        spec = LinearProcess(LinearProcessCoeffs((1.0,)), burn_in=0)
+        spec = LinearProcess(LinearProcessCoeffs((1.0,)))
         e = generate_errors(spec, 100, stream(3))
         assert np.array_equal(e, stream(3).standard_normal(100))
 
     def test_linear_process_constant_input(self):
         psi = np.array([1.0, 0.5])
-        out = _filter_innovations(psi, np.ones(60), burn_in=10, T=50)
+        out = _filter_innovations(psi, np.ones(60), T=50)
         assert np.allclose(out, 1.5, rtol=0, atol=0)
 
     def test_linear_process_variance(self):
         spec = LinearProcess(LinearProcessCoeffs((1.0, 0.5)))
         e = generate_errors(spec, 100_000, stream(8))
         assert e.var() == pytest.approx(1.25, rel=0.02)
-
-    def test_linear_process_default_burn_in(self):
-        assert LinearProcess(LinearProcessCoeffs((1.0, 0.5))).burn_in == DEFAULT_BURN_IN
-        long_filter = LinearProcessCoeffs(tuple(0.5 ** j for j in range(80)))
-        assert LinearProcess(long_filter).burn_in == 79
-
-    def test_linear_process_rejects_short_burn_in(self):
-        with pytest.raises(ConfigError):
-            LinearProcess(LinearProcessCoeffs((1.0, 0.5, 0.2)), burn_in=1)
 
     def test_innovation_sigma_scales_filter_input(self):
         coeffs = LinearProcessCoeffs((1.0, 0.5))

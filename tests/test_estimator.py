@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    explicit_window_scan,
     growth_decay_tent,
     naive_segment_fit,
     naive_sequential_dates,
@@ -211,6 +212,27 @@ class TestEstimateDates:
                 est = estimate_dates(Series(values, y0=y0))
                 k_e, k_c, k_r = naive_sequential_dates(values, y0)
                 assert (est.k_e_hat, est.k_c_hat, est.k_r_hat) == (k_e, k_c, k_r)
+
+    def test_explicit_oracle_matches_naive_loops(self):
+        rng = stream(29)
+        for y0 in (None, 0.0):
+            for _ in range(3):
+                values = rng.normal(size=80).cumsum() + 5.0
+                assert naive_sequential_dates(values, y0, scan=explicit_window_scan) == (
+                    naive_sequential_dates(values, y0)
+                )
+
+    @pytest.mark.xfail(strict=True, reason="prefix-sum SSR cancellation on long explosive paths")
+    def test_matches_explicit_oracle_on_long_explosive_paths(self):
+        for T, phi_a in ((1600, 1.09), (3200, 1.05)):
+            config = DgpConfig(0.4, 0.6, 0.7, phi_a=phi_a, phi_b=0.96, T=T,
+                               drift_pre=1.0 / 800.0, drift_post=1.0 / 800.0)
+            for seed in (0, 1):
+                s = simulate(config, IidGaussian(1.0), seed)
+                est = estimate_dates(s)
+                assert (est.k_e_hat, est.k_c_hat, est.k_r_hat) == naive_sequential_dates(
+                    s.values, s.y0, scan=explicit_window_scan
+                ), (T, phi_a, seed)
 
     def test_dates_invariant_to_scale_and_sign(self):
         values = three_phase_tent() + 0.01 * stream(5).normal(size=40)
