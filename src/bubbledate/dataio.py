@@ -184,11 +184,19 @@ def _profile_to_dict(profile) -> dict:
     raise ConfigError([f"unsupported volatility profile: {type(profile).__name__}"])
 
 
+def _reject_unknown_keys(data: dict, known: tuple, what: str) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError([f"{what}: unknown key(s) {', '.join(map(repr, unknown))}"])
+
+
 def _profile_from_dict(data: dict):
     kind = data.get("kind")
     if kind == "constant":
+        _reject_unknown_keys(data, ("kind", "sigma"), "constant profile")
         return ConstantVolatility(sigma=data.get("sigma", 1.0))
     if kind == "single_shift":
+        _reject_unknown_keys(data, ("kind", "sigma0", "sigma1", "tau_sigma"), "single_shift profile")
         try:
             return SingleShiftVolatility(
                 sigma0=data["sigma0"], sigma1=data["sigma1"], tau_sigma=data.get("tau_sigma", 0.5)
@@ -215,12 +223,15 @@ def error_spec_to_dict(spec: ErrorSpec) -> dict:
 def error_spec_from_dict(data: dict) -> ErrorSpec:
     kind = data.get("kind", "iid_gaussian")
     if kind == "iid_gaussian":
+        _reject_unknown_keys(data, ("kind", "sigma"), "iid_gaussian spec")
         return IidGaussian(sigma=data.get("sigma", 1.0))
     if kind == "volatility_scaled":
+        _reject_unknown_keys(data, ("kind", "profile"), "volatility_scaled spec")
         if "profile" not in data:
             raise ConfigError(["volatility_scaled spec requires a profile"])
         return VolatilityScaled(_profile_from_dict(data["profile"]))
     if kind == "linear_process":
+        _reject_unknown_keys(data, ("kind", "psi", "innovation_sigma"), "linear_process spec")
         if "psi" not in data:
             raise ConfigError(["linear_process spec requires psi coefficients"])
         return LinearProcess(
@@ -228,6 +239,10 @@ def error_spec_from_dict(data: dict) -> ErrorSpec:
             innovation_sigma=data.get("innovation_sigma", 1.0),
         )
     raise ConfigError([f"unknown error spec kind {kind!r}"])
+
+
+_EXPERIMENT_KEYS = ("schema_version", "name", "dgp", "errors", "T_grid", "phi_a_grid",
+                    "phi_b_grid", "trimming", "reps", "base_seed", "targets", "bic")
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:
@@ -257,6 +272,7 @@ def _check_schema_version(data: dict, what: str) -> None:
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     _check_schema_version(data, "experiment config")
+    _reject_unknown_keys(data, _EXPERIMENT_KEYS, "experiment config")
     if "dgp" not in data:
         raise ConfigError(["experiment config requires a dgp section"])
     try:

@@ -5,8 +5,8 @@ each side of every candidate split of the full sample and minimizing the
 total sum of squared residuals.  The sample is then split at the estimated
 collapse date: the same one-break scan on the first subsample dates the
 emergence of the explosive regime, and on the second subsample the
-recovery to a unit root.  All scans run on prefix moments, so each
-candidate costs O(1) after an O(T) setup pass.
+recovery to a unit root.  The scans run on four recursive-residual passes
+per series, each an O(T) read of a window that gives every prefix's SSR.
 """
 from __future__ import annotations
 
@@ -45,10 +45,10 @@ __all__ = [
 # resolve to the smallest candidate date.
 SSR_TIE_REL = 1e-9
 
-# A tiny negative SSR of magnitude up to this fraction of the segment's
-# sum of squares is rounding noise from the prefix-moment identity and is
-# clamped to zero.
-SSR_CLAMP_REL = 1e-9
+# A squared residual at or below this multiple of y_t^2 is within the
+# rounding error of the subtraction y_t - phi * y_{t-1} and counts as an
+# exact fit: (4 eps)^2 for float64 machine epsilon eps.
+RESID_FLOOR_REL = (4.0 * np.finfo(np.float64).eps) ** 2
 
 
 class DegenerateSegmentError(BubbleDateError):
@@ -61,16 +61,16 @@ class EmptyRangeError(BubbleDateError):
 
 @dataclass(frozen=True)
 class PrefixMoments:
-    """Cumulative regression moments of a series.
+    """Regression pairs of a series, the input of every recursive pass.
 
-    Column k of ``sums`` holds the sums over regression times t <= k of
-    y_{t-1} y_t, y_{t-1}^2 and y_t^2 (rows 0, 1, 2); column 0 is the empty
-    sum.  Regression times start at ``t_start`` (1 when a presample value
-    y_0 is available, 2 otherwise), and earlier increments are zero, so
-    any in-sample segment's moments are a difference of two columns.
+    Column t-1 of ``pairs`` holds, for regression time t, the lag y_{t-1},
+    the value y_t, y_{t-1}^2, y_{t-1} y_t and the rounding floor
+    RESID_FLOOR_REL * y_t^2 (rows 0 to 4).  Regression times start at
+    ``t_start`` (1 when a presample value y_0 is available, 2 otherwise);
+    earlier columns are zero, so they add exact zeros to every pass.
     """
 
-    sums: np.ndarray = field(repr=False)
+    pairs: np.ndarray = field(repr=False)
     T: int
     t_start: int
 
@@ -118,45 +118,56 @@ class BicReport:
 
 
 def build_prefix_moments(series: Series) -> PrefixMoments:
-    """O(T) pass producing the cumulative moments behind every scan."""
+    """O(T) pass producing the regression pairs behind every scan."""
     v = series.values
-    T = series.T
-    lags = np.empty(T, dtype=np.float64)
-    lags[1:] = v[:-1]
-    lags[0] = 0.0 if series.y0 is None else series.y0
-    products = np.stack([lags * v, lags * lags, v * v])
+    pairs = np.empty((5, series.T))
+    lag, value, lag2, cross, floor = pairs
+    lag[0], lag[1:] = (0.0 if series.y0 is None else series.y0), v[:-1]
+    value[:] = v
     if series.y0 is None:
-        # t = 1 is not a regression observation without a presample value
-        products[:, 0] = 0.0
-    sums = np.zeros((3, T + 1), dtype=np.float64)
-    np.cumsum(products, axis=1, out=sums[:, 1:])
-    return PrefixMoments(sums=sums, T=T, t_start=1 if series.y0 is not None else 2)
+        value[0] = 0.0  # t = 1 is not a regression observation without a presample value
+    np.multiply(lag, lag, out=lag2)
+    np.multiply(lag, value, out=cross)
+    np.multiply(value, value, out=floor)
+    floor *= RESID_FLOOR_REL
+    return PrefixMoments(pairs=pairs, T=series.T, t_start=1 if series.y0 is not None else 2)
 
 
-def _fit(d):
-    """AR(1) slope and SSR of segments with moment differences ``d``.
+def _pass(pairs: np.ndarray) -> tuple:
+    """Lag sums of squares S_i and SSR_i of the fits on the first i pairs.
 
-    ``d`` holds the (cross, lag2, sq) differences along axis 0, in any
-    trailing shape.  A tiny negative SSR within SSR_CLAMP_REL of the
-    segment's sum of squares is clamped to zero.
+    ``pairs`` is a window of ``PrefixMoments.pairs``, reversed for a backward
+    read.  With phi_i = C_i / S_i, the recursive-residual identity of Brown,
+    Durbin & Evans (1975), SSR_i = SSR_{i-1} + (y_i - phi_{i-1} x_i)^2 S_{i-1} / S_i,
+    adds terms >= 0 and differences no sum.  This gain form is required: the
+    equal (y_i - phi_{i-1} x_i)(y_i - phi_i x_i) cancels where S_{i-1} / S_i
+    is tiny, as at a bubble's peak read backward.  A squared residual within
+    its pair's rounding floor is an exact fit and adds 0.  While S = 0 the
+    slope is 0; the first nonzero lag has gain 0.  Accumulation is
+    sequential, so a pass's prefix is bit-identical to a pass over it.
     """
-    cross, lag2, sq = d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = cross / lag2
-        ssr = sq - phi * phi * lag2
-    return phi, np.where((ssr < 0.0) & (-ssr <= SSR_CLAMP_REL * sq), 0.0, ssr)
+    x, y, lag2, cross, floor = pairs
+    S, C = np.add.accumulate(lag2), np.add.accumulate(cross)
+    z = int(np.searchsorted(S, 0.0, side="right")) if S[0] == 0.0 else 0  # zeros of S lead
+    r = y.copy()
+    r[z + 1:] -= C[z:-1] / S[z:-1] * x[z + 1:]
+    r *= r
+    r[r <= floor] = 0.0
+    r[z:z + 1] = 0.0
+    r[z + 1:] *= S[z:-1] / S[z + 1:]
+    return S, np.add.accumulate(r)
 
 
 def fit_segment(moments: PrefixMoments, start: int, end: int) -> SegmentFit:
     """Fit y_t = phi * y_{t-1} on regression times start..end (inclusive)."""
     if not (1 <= start <= end <= moments.T):
         raise EmptyRangeError(f"segment [{start}, {end}] outside 1..{moments.T}")
-    d = moments.sums[:, end] - moments.sums[:, start - 1]
-    if d[1] == 0.0:
+    window = moments.pairs[:, start - 1:end]
+    S, ssr = _pass(window)
+    if S[-1] == 0.0:
         raise DegenerateSegmentError(f"segment [{start}, {end}] has zero lagged sum of squares")
-    phi_hat, ssr = _fit(d)
     n_obs = end - max(start, moments.t_start) + 1
-    return SegmentFit(phi_hat=float(phi_hat), ssr=float(ssr), n_obs=n_obs)
+    return SegmentFit(phi_hat=float(window[3].sum() / S[-1]), ssr=float(ssr[-1]), n_obs=n_obs)
 
 
 def ssr_split(moments: PrefixMoments, k: int) -> float:
@@ -166,13 +177,15 @@ def ssr_split(moments: PrefixMoments, k: int) -> float:
     return fit_segment(moments, 1, k).ssr + fit_segment(moments, k + 1, moments.T).ssr
 
 
-def _scan(moments: PrefixMoments, seg_start: int, seg_end: int, k_lo: int, k_hi: int) -> BreakScan:
-    """Vectorized SSR scan over splits of the window [seg_start, seg_end].
+def _scan(forward, backward, seg_start: int, seg_end: int, k_lo: int, k_hi: int) -> BreakScan:
+    """SSR scan over splits of the window [seg_start, seg_end].
 
     For each candidate k the two segments are [seg_start, k] and
-    [k+1, seg_end].  Candidates with a zero lagged sum of squares on
-    either side are skipped.  SSR values within a relative tolerance of
-    the minimum count as ties and the smallest date wins.
+    [k+1, seg_end], read from a ``_pass`` starting at seg_start and one
+    reading back from seg_end; either may run past the window.  Candidates
+    with a zero lagged sum of squares on either side are skipped.  SSR
+    values within a relative tolerance of the minimum count as ties and the
+    smallest date wins.
     """
     if k_lo > k_hi:
         raise EmptyRangeError(f"empty candidate range [{k_lo}, {k_hi}]")
@@ -180,41 +193,30 @@ def _scan(moments: PrefixMoments, seg_start: int, seg_end: int, k_lo: int, k_hi:
         raise EmptyRangeError(
             f"candidates [{k_lo}, {k_hi}] must split [{seg_start}, {seg_end}] into nonempty segments"
         )
-    ks = np.arange(k_lo, k_hi + 1)
-    sums = moments.sums
-    at_k = sums.take(ks, axis=1)
-    # left segments [seg_start, k] in d[:, 0], right segments [k+1, seg_end]
-    # in d[:, 1], so that one _fit call covers both sides of every candidate
-    d = np.empty((3, 2, ks.size))
-    np.subtract(at_k, sums[:, seg_start - 1, None], out=d[:, 0])
-    np.subtract(sums[:, seg_end, None], at_k, out=d[:, 1])
-    ok = (d[1, 0] > 0.0) & (d[1, 1] > 0.0)
-    ssr1, ssr2 = _fit(d)[1]
-    total = ssr1 + ssr2
+    left = slice(k_lo - seg_start, k_hi - seg_start + 1)
+    right = slice(seg_end - 1 - k_hi, seg_end - k_lo)
+    s1, ssr1 = forward[0][left], forward[1][left]
+    s2, ssr2 = backward[0][right][::-1], backward[1][right][::-1]
+    ok = (s1 > 0.0) & (s2 > 0.0)
     if not ok.any():
-        raise DegenerateSegmentError(
-            f"every candidate in [{k_lo}, {k_hi}] has a degenerate segment"
-        )
-    valid_ks = ks[ok]
-    valid_ssr = total[ok]
+        raise DegenerateSegmentError(f"every candidate in [{k_lo}, {k_hi}] has a degenerate segment")
+    valid_ks = np.flatnonzero(ok) + k_lo
+    valid_ssr = (ssr1 + ssr2)[ok]
     best = float(valid_ssr.min())
-    # the band must widen away from best regardless of its sign, or a
-    # negative best (possible when float truncation corrupts a huge
-    # dynamic-range series) would fail its own tie test
-    tied = valid_ssr <= best + SSR_TIE_REL * abs(best)
+    tied = valid_ssr <= best * (1.0 + SSR_TIE_REL)
     k_hat = int(valid_ks[tied][0])
     curve = np.column_stack([valid_ks.astype(np.float64), valid_ssr])
     i = k_hat - k_lo
-    return BreakScan(k_hat=k_hat, curve=curve, skipped=ks[~ok],
+    return BreakScan(k_hat=k_hat, curve=curve, skipped=np.flatnonzero(~ok) + k_lo,
                      segment_ssr=(float(ssr1[i]), float(ssr2[i])))
 
 
-def _subsample_scan(moments: PrefixMoments, seg_start: int, seg_end: int, k_range: tuple) -> tuple:
+def _subsample_scan(forward, backward, seg_start: int, seg_end: int, k_range: tuple) -> tuple:
     """Second-stage scan: (scan, scanned range, unavailable reason)."""
     if k_range[0] > k_range[1]:
         return None, None, UnavailableReason.BOUNDARY_VIOLATION
     try:
-        return _scan(moments, seg_start, seg_end, *k_range), k_range, None
+        return _scan(forward, backward, seg_start, seg_end, *k_range), k_range, None
     except DegenerateSegmentError:
         return None, k_range, UnavailableReason.DEGENERATE
 
@@ -234,13 +236,16 @@ def estimate_dates(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) 
     T = series.T
     if T < MIN_ESTIMATION_LENGTH:
         raise SeriesValidationError([TooShort(T)])
-    moments = build_prefix_moments(series)
+    pairs = build_prefix_moments(series).pairs
+    forward, backward = _pass(pairs), _pass(pairs[:, ::-1])
     margin = trimming.margin(T)
     range_c = (margin, trimming.k_hi(T))
-    scan_c = _scan(moments, 1, T, range_c[0], range_c[1])
+    scan_c = _scan(forward, backward, 1, T, *range_c)
     k_c = scan_c.k_hat
-    scan_e, range_e, reason_e = _subsample_scan(moments, 1, k_c, (margin, k_c - margin))
-    scan_r, range_r, reason_r = _subsample_scan(moments, k_c + 1, T, (k_c + margin + 1, trimming.k_hi(T)))
+    scan_e, range_e, reason_e = _subsample_scan(
+        forward, _pass(pairs[:, :k_c][:, ::-1]), 1, k_c, (margin, k_c - margin))
+    scan_r, range_r, reason_r = _subsample_scan(
+        _pass(pairs[:, k_c:]), backward, k_c + 1, T, (k_c + margin + 1, trimming.k_hi(T)))
     return BreakEstimates(
         k_c_hat=k_c,
         k_e_hat=scan_e and scan_e.k_hat,

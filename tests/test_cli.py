@@ -14,7 +14,7 @@ import pytest
 from conftest import three_phase_tent
 
 import bubbledate
-from bubbledate import Discretization, recovery_limit_draws
+from bubbledate import DgpConfig, Discretization, IidGaussian, recovery_limit_draws, simulate
 from bubbledate.cli import main
 
 
@@ -97,6 +97,16 @@ class TestEstimateCommand:
         assert bic["dates"]["four_regime"] == [16, 24, 32]
         assert bic["values"]["four_regime"] is None  # a zero-SSR fit
         assert bic["n_obs"] == 39
+
+    def test_bic_values_finite_on_long_explosive_series(self, tmp_path, capsys):
+        # the peak is near 1e13; only an exact fit may print a null value
+        config = DgpConfig(0.4, 0.6, 0.7, phi_a=1.09, phi_b=0.96, T=1600,
+                           drift_pre=1.0 / 800.0, drift_post=1.0 / 800.0)
+        path = tmp_path / "explosive.csv"
+        write_value_csv(path, simulate(config, IidGaussian(1.0), 0).values)
+        assert main(["estimate", str(path), "--bic"]) == 0
+        values = json.loads(capsys.readouterr().out)["bic"]["values"]
+        assert None not in values.values()
 
     def test_bic_estimates_once(self, tmp_path, capsys, monkeypatch):
         import bubbledate.estimator as estimator

@@ -224,6 +224,30 @@ class TestConfigDicts:
         with pytest.raises(ConfigError):
             error_spec_from_dict({"kind": "linear_process"})
 
+    def test_error_spec_rejects_unknown_keys(self):
+        cases = [
+            ({"kind": "linear_process", "psi": [1, 0.5], "innovaton_sigma": 3.0}, "innovaton_sigma"),
+            ({"kind": "iid_gaussian", "sigmaa": 3.0}, "sigmaa"),
+            ({"kind": "volatility_scaled",
+              "profile": {"kind": "single_shift", "sigma0": 1.0, "sigma1": 3.0, "tau_sigm": 0.2}},
+             "tau_sigm"),
+        ]
+        for data, key in cases:
+            with pytest.raises(ConfigError, match=key):
+                error_spec_from_dict(data)
+
+    def test_experiment_rejects_unknown_keys(self):
+        data = {
+            "schema_version": 1,
+            "dgp": dgp_config_to_dict(DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=100)),
+            "T_grid": [100],
+            "phi_a_grid": [1.05],
+            "rep": 10,
+            "bicc": True,
+        }
+        with pytest.raises(ConfigError, match="'bicc', 'rep'"):
+            experiment_config_from_dict(data)
+
     def test_experiment_round_trip(self):
         cfg = ExperimentConfig(
             dgp=DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=800, drift_pre=0.00125, drift_post=0.00125),

@@ -37,8 +37,14 @@ from bubbledate import (
     simulate,
     ssr_split,
 )
-from bubbledate.estimator import _scan
+from bubbledate.estimator import RESID_FLOOR_REL, _pass, _scan
 from bubbledate.rng import stream
+
+
+def explosive_config(T, phi_a):
+    """Four-regime design with breaks at 0.4T, 0.6T and 0.7T and phi_b = 0.96."""
+    return DgpConfig(0.4, 0.6, 0.7, phi_a=phi_a, phi_b=0.96, T=T,
+                     drift_pre=1.0 / 800.0, drift_post=1.0 / 800.0)
 
 
 def boundary_kink_series():
@@ -63,24 +69,35 @@ def growth_then_zeros():
     return values
 
 
+def window_scan(moments, seg_start, seg_end, k_lo, k_hi):
+    """``_scan`` over [seg_start, seg_end] from fresh passes over the window."""
+    window = moments.pairs[:, seg_start - 1:seg_end]
+    return _scan(_pass(window), _pass(window[:, ::-1]), seg_start, seg_end, k_lo, k_hi)
+
+
 class TestPrefixMoments:
     def test_hand_values_without_presample(self):
         m = build_prefix_moments(Series(np.array([1.0, 2.0, 4.0, 8.0])))
         assert m.t_start == 2
-        assert m.sums[0].tolist() == [0.0, 0.0, 2.0, 10.0, 42.0]
-        assert m.sums[1].tolist() == [0.0, 0.0, 1.0, 5.0, 21.0]
-        assert m.sums[2].tolist() == [0.0, 0.0, 4.0, 20.0, 84.0]
+        assert m.pairs[:, 0].tolist() == [0.0] * 5
+        assert m.pairs[0].tolist() == [0.0, 1.0, 2.0, 4.0]
+        assert m.pairs[1].tolist() == [0.0, 2.0, 4.0, 8.0]
+        assert np.add.accumulate(m.pairs[3]).tolist() == [0.0, 2.0, 10.0, 42.0]
+        assert np.add.accumulate(m.pairs[2]).tolist() == [0.0, 1.0, 5.0, 21.0]
+        assert m.pairs[4].tolist() == [RESID_FLOOR_REL * v for v in (0.0, 4.0, 16.0, 64.0)]
 
     def test_hand_values_with_presample(self):
         m = build_prefix_moments(Series(np.array([2.0, 4.0, 8.0]), y0=1.0))
         assert m.t_start == 1
-        assert m.sums[0].tolist() == [0.0, 2.0, 10.0, 42.0]
-        assert m.sums[1].tolist() == [0.0, 1.0, 5.0, 21.0]
-        assert m.sums[2].tolist() == [0.0, 4.0, 20.0, 84.0]
+        assert m.pairs[0].tolist() == [1.0, 2.0, 4.0]
+        assert m.pairs[1].tolist() == [2.0, 4.0, 8.0]
+        assert np.add.accumulate(m.pairs[3]).tolist() == [2.0, 10.0, 42.0]
+        assert np.add.accumulate(m.pairs[2]).tolist() == [1.0, 5.0, 21.0]
+        assert m.pairs[4].tolist() == [RESID_FLOOR_REL * v for v in (4.0, 16.0, 64.0)]
 
     def test_array_lengths(self):
         m = build_prefix_moments(Series(stream(1).normal(size=17)))
-        assert len(m.sums[0]) == len(m.sums[1]) == len(m.sums[2]) == 18
+        assert m.pairs.shape == (5, 17)
 
 
 class TestFitSegment:
@@ -107,12 +124,19 @@ class TestFitSegment:
 
     def test_matches_naive_fit_on_random_windows(self):
         rng = stream(42)
-        for y0 in (None, float(rng.normal())):
-            values = rng.normal(size=60).cumsum()
+
+        def inputs():
+            for y0 in (None, float(rng.normal())):
+                yield rng.normal(size=60).cumsum(), y0
+            s = simulate(explosive_config(800, 1.09), IidGaussian(1.0), 0)
+            yield s.values, s.y0
+
+        for values, y0 in inputs():
             m = build_prefix_moments(Series(values, y0=y0))
+            T = len(values)
             for _ in range(25):
-                start = int(rng.integers(1, 55))
-                end = int(rng.integers(start + 2, 61))
+                start = int(rng.integers(1, T - 5))
+                end = int(rng.integers(start + 2, T + 1))
                 fit = fit_segment(m, start, end)
                 phi, ssr = naive_segment_fit(values, y0, start, end)
                 assert fit.phi_hat == pytest.approx(phi, rel=1e-10)
@@ -153,7 +177,7 @@ class TestSplitScan:
     def test_argmin_finds_kink(self):
         values = growth_decay_tent(20, 10, 1.2, 0.8)
         m = build_prefix_moments(Series(values, y0=1.0))
-        scan = _scan(m, 1, m.T, 2, 18)
+        scan = window_scan(m, 1, m.T, 2, 18)
         assert scan.k_hat == 10
         assert scan.curve.shape == (17, 2)
         assert scan.skipped.size == 0
@@ -161,7 +185,7 @@ class TestSplitScan:
 
     def test_exact_ties_resolve_to_smallest_date(self):
         m = build_prefix_moments(Series(np.full(30, 2.0), y0=2.0))
-        assert _scan(m, 1, m.T, 4, 26).k_hat == 4
+        assert window_scan(m, 1, m.T, 4, 26).k_hat == 4
 
     def test_degenerate_candidates_are_skipped(self):
         # left lags stay zero through t = 4 (the lag at t is values[t - 2]),
@@ -169,28 +193,28 @@ class TestSplitScan:
         values = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
         assert naive_segment_fit(values, None, 1, 4) is None
         m = build_prefix_moments(Series(values))
-        scan = _scan(m, 1, m.T, 2, 6)
+        scan = window_scan(m, 1, m.T, 2, 6)
         assert scan.skipped.tolist() == [2, 3, 4]
         assert scan.curve[:, 0].tolist() == [5.0, 6.0]
 
     def test_all_candidates_degenerate_raises(self):
         m = build_prefix_moments(Series(np.zeros(10)))
         with pytest.raises(DegenerateSegmentError):
-            _scan(m, 1, m.T, 2, 8)
+            window_scan(m, 1, m.T, 2, 8)
 
     def test_empty_range_raises(self):
         m = build_prefix_moments(Series(np.ones(10), y0=1.0))
         with pytest.raises(EmptyRangeError):
-            _scan(m, 1, m.T, 6, 5)
+            window_scan(m, 1, m.T, 6, 5)
         with pytest.raises(EmptyRangeError):
-            _scan(m, 1, m.T, 2, 10)
+            window_scan(m, 1, m.T, 2, 10)
 
     def test_matches_naive_scan_on_noisy_series(self):
         rng = stream(11)
         for y0 in (None, 0.3):
             values = 1.0 + 0.1 * rng.normal(size=50) + np.linspace(0, 2, 50)
             m = build_prefix_moments(Series(values, y0=y0))
-            scan = _scan(m, 1, m.T, 3, 47)
+            scan = window_scan(m, 1, m.T, 3, 47)
             assert scan.k_hat == naive_window_scan(values, y0, 1, 50, 3, 47)
 
 
@@ -222,17 +246,25 @@ class TestEstimateDates:
                     naive_sequential_dates(values, y0)
                 )
 
-    @pytest.mark.xfail(strict=True, reason="prefix-sum SSR cancellation on long explosive paths")
     def test_matches_explicit_oracle_on_long_explosive_paths(self):
-        for T, phi_a in ((1600, 1.09), (3200, 1.05)):
-            config = DgpConfig(0.4, 0.6, 0.7, phi_a=phi_a, phi_b=0.96, T=T,
-                               drift_pre=1.0 / 800.0, drift_post=1.0 / 800.0)
+        for T, phi_a in ((1600, 1.05), (1600, 1.09), (3200, 1.05)):
             for seed in (0, 1):
-                s = simulate(config, IidGaussian(1.0), seed)
+                s = simulate(explosive_config(T, phi_a), IidGaussian(1.0), seed)
                 est = estimate_dates(s)
                 assert (est.k_e_hat, est.k_c_hat, est.k_r_hat) == naive_sequential_dates(
                     s.values, s.y0, scan=explicit_window_scan
                 ), (T, phi_a, seed)
+
+    @pytest.mark.xfail(strict=True, reason="the bubble peak (about 5e25) rounds away the "
+                       "unit innovations, so the emergence SSRs of every candidate agree "
+                       "to 5e-13 and the date is decided by rounding noise")
+    def test_matches_explicit_oracle_beyond_float64_resolution(self):
+        for seed in (0, 1):
+            s = simulate(explosive_config(3200, 1.09), IidGaussian(1.0), seed)
+            est = estimate_dates(s)
+            assert (est.k_e_hat, est.k_c_hat, est.k_r_hat) == naive_sequential_dates(
+                s.values, s.y0, scan=explicit_window_scan
+            ), seed
 
     def test_dates_invariant_to_scale_and_sign(self):
         values = three_phase_tent() + 0.01 * stream(5).normal(size=40)
@@ -333,28 +365,39 @@ class TestBicSelect:
 
 
 def refit_bic(series, est):
-    """BIC of each model by refitting every segment with ``fit_segment``.
+    """BIC of each model by refitting every segment with a fresh ``_pass``.
 
-    Segment SSRs are summed one segment at a time in date order, starting
-    from 0.0.  Returns (bic, chosen, dates, n_obs) like ``BicReport``.
+    Each segment is read in the direction its scan produced it: the left
+    segment of a scan forward from its start, the right one backward from
+    its end.  Segment SSRs are summed one segment at a time in date order,
+    starting from 0.0.  Returns (bic, chosen, dates, n_obs) like
+    ``BicReport``.
     """
     moments = build_prefix_moments(series)
     n = moments.T - (moments.t_start - 1)
+    T = moments.T
     k_e, k_c, k_r = est.k_e_hat, est.k_c_hat, est.k_r_hat
     dates = {
         ModelChoice.TWO_REGIME: (k_c,),
         ModelChoice.THREE_REGIME: (k_e, k_c) if k_e is not None else None,
         ModelChoice.FOUR_REGIME: (k_e, k_c, k_r) if k_e is not None and k_r is not None else None,
     }
+    # whether each of a model's segments, in date order, is read forward
+    forward = {
+        ModelChoice.TWO_REGIME: (True, False),
+        ModelChoice.THREE_REGIME: (True, False, False),
+        ModelChoice.FOUR_REGIME: (True, False, True, False),
+    }
     bic = {}
     for model, n_params in zip(ModelChoice, (3, 5, 7)):
         if dates[model] is None:
             bic[model] = math.inf
             continue
-        bounds = [0, *dates[model], moments.T]
+        bounds = [0, *dates[model], T]
         total = 0.0
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            total += fit_segment(moments, lo + 1, hi).ssr
+        for lo, hi, ahead in zip(bounds[:-1], bounds[1:], forward[model]):
+            window = moments.pairs[:, lo:hi]
+            total += float(_pass(window if ahead else window[:, ::-1])[1][-1])
         bic[model] = -math.inf if total <= 0.0 else n * math.log(total / n) + n_params * math.log(n)
     chosen = ModelChoice.TWO_REGIME
     for model in (ModelChoice.THREE_REGIME, ModelChoice.FOUR_REGIME):
@@ -372,11 +415,9 @@ def bic_reference_series():
     volshift = VolatilityScaled(SingleShiftVolatility(1.0, 3.0, 0.5))
     for T in (400, 800, 1600):
         for phi_a in (1.05, 1.09):
-            config = DgpConfig(0.4, 0.6, 0.7, phi_a=phi_a, phi_b=0.96, T=T,
-                               drift_pre=1.0 / 800.0, drift_post=1.0 / 800.0)
             for errors in (IidGaussian(1.0), volshift):
                 for seed in range(5):
-                    yield simulate(config, errors, seed)
+                    yield simulate(explosive_config(T, phi_a), errors, seed)
     yield Series(three_phase_tent(), y0=1.0)
     yield Series(three_phase_tent())
     yield Series(three_phase_tent(T=80, k_e=30, k_c=50, k_r=60), y0=1.0)
@@ -409,22 +450,20 @@ def test_bic_matches_segment_refit_bitwise():
 def test_golden_estimates():
     """Dates, BIC and SSR curves on long and strongly explosive paths are pinned.
 
-    Some of these series carry a -inf BIC from prefix-sum cancellation, so
-    a numerically stable scan must change this digest on purpose.
+    None of these series is an exact fit, so none may carry a -inf BIC.
     """
     h = hashlib.sha256()
     for T in (800, 1600, 3200):
         for phi_a in (1.05, 1.09):
-            config = DgpConfig(0.4, 0.6, 0.7, phi_a=phi_a, phi_b=0.96, T=T,
-                               drift_pre=1.0 / 800.0, drift_post=1.0 / 800.0)
             for seed in range(5):
-                s = simulate(config, IidGaussian(1.0), seed)
+                s = simulate(explosive_config(T, phi_a), IidGaussian(1.0), seed)
                 for series in (s, Series(s.values)):
                     r = bic_select(series)
+                    assert -math.inf not in r.bic.values()
                     est = r.estimates
                     h.update(repr((est.k_e_hat, est.k_c_hat, est.k_r_hat, r.chosen.value,
                                    [v.hex() for v in r.bic.values()])).encode())
                     for curve in (est.ssr_curve_c, est.ssr_curve_e, est.ssr_curve_r):
                         if curve is not None:
                             h.update(curve.tobytes())
-    assert h.hexdigest() == "13bf344ab6304ce3216a862eabd4e7c7c22c2edb083d1ad26d7025e6e50a113a"
+    assert h.hexdigest() == "c826167dcc1ea3f9346c10c192ba0d00b7c3a75155b9a3ebd2c856f058eeba91"
