@@ -29,8 +29,8 @@ from .asymptotics import (
     recovery_limit_draws,
 )
 from .dgp import simulate
-from .estimator import ModelChoice, bic_select, estimate_dates
-from .montecarlo import PRESET_NAMES, Target, preset, run_experiment
+from .estimator import bic_select, estimate_dates
+from .montecarlo import PRESET_NAMES, preset, run_experiment
 from .types import (
     BubbleDateError,
     ConfigError,
@@ -111,15 +111,16 @@ def _break_payload(k, reason, rng, labels) -> dict:
     return out
 
 
+def _column(ref):
+    """A --value-column/--date-column argument: a 0-based index if it reads as an integer, else a name."""
+    return int(ref) if ref is not None and ref.lstrip("-").isdigit() else ref
+
+
 def cmd_estimate(args) -> int:
-    value_col = int(args.value_column) if str(args.value_column).lstrip("-").isdigit() else args.value_column
-    date_col = args.date_column
-    if date_col is not None and str(date_col).lstrip("-").isdigit():
-        date_col = int(date_col)
     spec = dataio.IngestSpec(
         path=args.input,
-        value_column=value_col,
-        date_column=date_col,
+        value_column=_column(args.value_column),
+        date_column=_column(args.date_column),
         log_transform=args.log,
         delimiter=args.delimiter,
     )

@@ -9,19 +9,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Union, get_type_hints
 
 import numpy as np
 
 from .dgp import ErrorSpec, IidGaussian, LinearProcess, VolatilityScaled
-from .montecarlo import (
-    BicTally,
-    ExperimentConfig,
-    HistogramResult,
-    Target,
-    preset,
-)
+from .montecarlo import ExperimentConfig, HistogramResult, Target
 from .types import (
     BubbleDateError,
     ConfigError,
@@ -160,138 +154,138 @@ def write_series_csv(path: str, series: Series, metadata: Optional[dict] = None)
                 writer.writerow([repr(float(v))])
 
 
-def dgp_config_to_dict(config: DgpConfig) -> dict:
-    return {k: v for k, v in asdict(config).items() if v is not None}
+# The JSON types that a field annotation, list or dict accepts; a boolean is not a number.
+_JSON_TYPES = {
+    float: ("a number", (int, float)), Optional[float]: ("a number or null", (int, float, type(None))),
+    int: ("an integer", (int,)), bool: ("a boolean", (bool,)), str: ("a string", (str,)),
+    list: ("an array", (list,)), dict: ("a JSON object", (dict,)),
+}
 
 
-def dgp_config_from_dict(data: dict) -> DgpConfig:
-    try:
-        return DgpConfig(**data)
-    except TypeError as exc:
-        raise ConfigError([f"bad dgp config: {exc}"]) from None
+def _checked(value, hint, where: str):
+    """value, after checking its JSON type against hint; any other hint accepts any value."""
+    name, types = _JSON_TYPES.get(hint, ("", (object,)))
+    if not isinstance(value, types) or (isinstance(value, bool) and int in types):
+        raise ConfigError([f"{where} must be {name}, got {value!r}"])
+    return value
 
 
-def _profile_to_dict(profile) -> dict:
-    if isinstance(profile, ConstantVolatility):
-        return {"kind": "constant", "sigma": profile.sigma}
-    if isinstance(profile, SingleShiftVolatility):
-        return {
-            "kind": "single_shift",
-            "sigma0": profile.sigma0,
-            "sigma1": profile.sigma1,
-            "tau_sigma": profile.tau_sigma,
-        }
-    raise ConfigError([f"unsupported volatility profile: {type(profile).__name__}"])
+def _array(hint):
+    """Reader of a JSON array of hint scalars, as a tuple."""
+    return lambda value, where: tuple(
+        hint(_checked(v, hint, f"{where} entry")) for v in _checked(value, list, where)
+    )
 
 
-def _reject_unknown_keys(data: dict, known: tuple, what: str) -> None:
+def _reject_unknown_keys(data: dict, known, what: str) -> None:
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ConfigError([f"{what}: unknown key(s) {', '.join(map(repr, unknown))}"])
 
 
-def _profile_from_dict(data: dict):
-    kind = data.get("kind")
-    if kind == "constant":
-        _reject_unknown_keys(data, ("kind", "sigma"), "constant profile")
-        return ConstantVolatility(sigma=data.get("sigma", 1.0))
-    if kind == "single_shift":
-        _reject_unknown_keys(data, ("kind", "sigma0", "sigma1", "tau_sigma"), "single_shift profile")
-        try:
-            return SingleShiftVolatility(
-                sigma0=data["sigma0"], sigma1=data["sigma1"], tau_sigma=data.get("tau_sigma", 0.5)
-            )
-        except KeyError as exc:
-            raise ConfigError([f"single_shift profile missing {exc}"]) from None
-    raise ConfigError([f"unknown volatility profile kind {kind!r}"])
+_ERROR_KINDS = {"iid_gaussian": IidGaussian, "volatility_scaled": VolatilityScaled,
+                "linear_process": LinearProcess}
+_PROFILE_KINDS = {"constant": ConstantVolatility, "single_shift": SingleShiftVolatility}
+
+# Fields whose JSON key is not the field name.
+_JSON_KEY = {"coeffs": "psi"}
+
+# Fields whose JSON form is not a scalar: (reader(value, where), writer(value)).
+_CODECS = {
+    "profile": (lambda v, where: _read_kind(_PROFILE_KINDS, v, "volatility profile"),
+                lambda p: _write_kind(_PROFILE_KINDS, p)),
+    "coeffs": (lambda v, where: LinearProcessCoeffs(_array(float)(v, where)), lambda c: list(c.psi)),
+    "T_grid": (_array(int), list),
+    "phi_a_grid": (_array(float), list),
+    "phi_b_grid": (_array(float), list),
+    "trimming": (lambda v, where: TrimmingPolicy(_checked(v, float, where)), lambda t: t.rho),
+    "targets": (lambda v, where: tuple(map(Target, _array(str)(v, where))), lambda ts: [t.value for t in ts]),
+}
 
 
-def error_spec_to_dict(spec: ErrorSpec) -> dict:
-    if isinstance(spec, IidGaussian):
-        return {"kind": "iid_gaussian", "sigma": spec.sigma}
-    if isinstance(spec, VolatilityScaled):
-        return {"kind": "volatility_scaled", "profile": _profile_to_dict(spec.profile)}
-    if isinstance(spec, LinearProcess):
-        return {
-            "kind": "linear_process",
-            "psi": list(spec.coeffs.psi),
-            "innovation_sigma": spec.innovation_sigma,
-        }
-    raise ConfigError([f"unsupported error spec: {type(spec).__name__}"])
+def _build(cls, data, what: str):
+    """Build the dataclass cls from the JSON object data, raising ConfigError on any fault.
+
+    Keys are cls's field names (renamed by _JSON_KEY), defaults the fields'
+    own.  A field in _CODECS is read by its codec, any other must have the
+    JSON type of its annotation.
+    """
+    keys = {_JSON_KEY.get(f.name, f.name): f for f in fields(cls)}
+    _reject_unknown_keys(_checked(data, dict, what), keys, what)
+    missing = [k for k, f in keys.items() if k not in data and f.default is MISSING]
+    if missing:
+        raise ConfigError([f"{what}: missing key(s) {', '.join(map(repr, missing))}"])
+    hints = get_type_hints(cls)
+    try:
+        return cls(**{
+            f.name: _CODECS[f.name][0](data[k], f"{what}: {k}") if f.name in _CODECS
+            else _checked(data[k], hints[f.name], f"{what}: {k}")
+            for k, f in keys.items() if k in data
+        })
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([f"{what}: {exc}"]) from None
 
 
-def error_spec_from_dict(data: dict) -> ErrorSpec:
-    kind = data.get("kind", "iid_gaussian")
-    if kind == "iid_gaussian":
-        _reject_unknown_keys(data, ("kind", "sigma"), "iid_gaussian spec")
-        return IidGaussian(sigma=data.get("sigma", 1.0))
-    if kind == "volatility_scaled":
-        _reject_unknown_keys(data, ("kind", "profile"), "volatility_scaled spec")
-        if "profile" not in data:
-            raise ConfigError(["volatility_scaled spec requires a profile"])
-        return VolatilityScaled(_profile_from_dict(data["profile"]))
-    if kind == "linear_process":
-        _reject_unknown_keys(data, ("kind", "psi", "innovation_sigma"), "linear_process spec")
-        if "psi" not in data:
-            raise ConfigError(["linear_process spec requires psi coefficients"])
-        return LinearProcess(
-            coeffs=LinearProcessCoeffs(tuple(data["psi"])),
-            innovation_sigma=data.get("innovation_sigma", 1.0),
-        )
-    raise ConfigError([f"unknown error spec kind {kind!r}"])
-
-
-_EXPERIMENT_KEYS = ("schema_version", "name", "dgp", "errors", "T_grid", "phi_a_grid",
-                    "phi_b_grid", "trimming", "reps", "base_seed", "targets", "bic")
-
-
-def experiment_config_to_dict(config: ExperimentConfig) -> dict:
+def _to_dict(obj) -> dict:
+    """The JSON object of a dataclass, each field in its JSON form under its JSON key."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "name": config.name,
-        "dgp": dgp_config_to_dict(config.dgp),
-        "errors": error_spec_to_dict(config.errors),
-        "T_grid": list(config.T_grid),
-        "phi_a_grid": list(config.phi_a_grid),
-        "phi_b_grid": list(config.phi_b_grid),
-        "trimming": config.trimming.rho,
-        "reps": config.reps,
-        "base_seed": config.base_seed,
-        "targets": [t.value for t in config.targets],
-        "bic": config.bic,
+        _JSON_KEY.get(f.name, f.name): _CODECS[f.name][1](v) if f.name in _CODECS else v
+        for f in fields(obj) for v in [getattr(obj, f.name)]
     }
 
 
-def _check_schema_version(data: dict, what: str) -> None:
-    version = data.get("schema_version")
+def _read_kind(kinds: dict, data, what: str, default=None):
+    """Build the class that data's ``kind`` names in kinds from data's other keys."""
+    kind = _checked(data, dict, what).get("kind", default)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError([f"unknown {what} kind {kind!r}; expected one of {', '.join(kinds)}"])
+    return _build(kinds[kind], {k: v for k, v in data.items() if k != "kind"}, f"{kind} {what}")
+
+
+def _write_kind(kinds: dict, obj) -> dict:
+    kind = next((k for k, cls in kinds.items() if type(obj) is cls), None)
+    if kind is None:
+        raise ConfigError([f"unsupported config object: {type(obj).__name__}"])
+    return {"kind": kind, **_to_dict(obj)}
+
+
+def dgp_config_to_dict(config: DgpConfig) -> dict:
+    return {k: v for k, v in _to_dict(config).items() if v is not None}
+
+
+def dgp_config_from_dict(data: dict) -> DgpConfig:
+    return _build(DgpConfig, data, "dgp config")
+
+
+def error_spec_to_dict(spec: ErrorSpec) -> dict:
+    return _write_kind(_ERROR_KINDS, spec)
+
+
+def error_spec_from_dict(data: dict) -> ErrorSpec:
+    return _read_kind(_ERROR_KINDS, data, "error spec", default="iid_gaussian")
+
+
+def experiment_config_to_dict(config: ExperimentConfig) -> dict:
+    return {**_to_dict(config), "schema_version": SCHEMA_VERSION,
+            "dgp": dgp_config_to_dict(config.dgp), "errors": error_spec_to_dict(config.errors)}
+
+
+def _read_top_level(data, what: str) -> dict:
+    """The keys after the schema check, with dgp and errors (default iid_gaussian) read."""
+    version = _checked(data, dict, what).get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ConfigError(
-            [f"{what}: unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}"]
-        )
+        raise ConfigError([f"{what}: unsupported schema_version {version!r}; "
+                           f"this build reads version {SCHEMA_VERSION}"])
+    if "dgp" not in data:
+        raise ConfigError([f"{what} requires a dgp section"])
+    body = {k: v for k, v in data.items() if k != "schema_version"}
+    body.update(dgp=dgp_config_from_dict(data["dgp"]), errors=error_spec_from_dict(data.get("errors", {})))
+    return body
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    _check_schema_version(data, "experiment config")
-    _reject_unknown_keys(data, _EXPERIMENT_KEYS, "experiment config")
-    if "dgp" not in data:
-        raise ConfigError(["experiment config requires a dgp section"])
-    try:
-        targets = tuple(Target(t) for t in data.get("targets", [t.value for t in Target]))
-    except ValueError as exc:
-        raise ConfigError([f"bad target: {exc}"]) from None
-    return ExperimentConfig(
-        dgp=dgp_config_from_dict(data["dgp"]),
-        errors=error_spec_from_dict(data.get("errors", {"kind": "iid_gaussian"})),
-        T_grid=tuple(int(T) for T in data.get("T_grid", [data["dgp"]["T"]])),
-        phi_a_grid=tuple(float(p) for p in data.get("phi_a_grid", [])),
-        phi_b_grid=tuple(float(p) for p in data.get("phi_b_grid", [])),
-        trimming=TrimmingPolicy(data.get("trimming", 0.05)),
-        reps=int(data.get("reps", 2000)),
-        base_seed=int(data.get("base_seed", 0)),
-        targets=targets,
-        bic=bool(data.get("bic", False)),
-        name=data.get("name", "custom"),
-    )
+    body = _read_top_level(data, "experiment config")
+    return _build(ExperimentConfig, {"T_grid": [body["dgp"].T], **body}, "experiment config")
 
 
 def _load_json(path: str) -> dict:
@@ -306,13 +300,9 @@ def _load_json(path: str) -> dict:
 
 def load_simulation_config(path: str) -> tuple:
     """Read a {schema_version, dgp, errors} JSON file."""
-    data = _load_json(path)
-    _check_schema_version(data, "simulation config")
-    if "dgp" not in data:
-        raise ConfigError(["simulation config requires a dgp section"])
-    dgp = dgp_config_from_dict(data["dgp"])
-    errors = error_spec_from_dict(data.get("errors", {"kind": "iid_gaussian"}))
-    return dgp, errors
+    body = _read_top_level(_load_json(path), "simulation config")
+    _reject_unknown_keys(body, ("dgp", "errors"), "simulation config")
+    return body["dgp"], body["errors"]
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

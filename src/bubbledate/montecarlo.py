@@ -261,14 +261,28 @@ _BASE_DGP = DgpConfig(
     drift_post=1.0 / 800.0,
 )
 
-PRESET_NAMES = (
-    "baseline",
-    "short-bubble",
-    "trim1pct",
-    "volshift-down",
-    "volshift-up",
-    "no-fourth-regime",
+_BASELINE = ExperimentConfig(
+    dgp=_BASE_DGP,
+    errors=IidGaussian(1.0),
+    T_grid=(400, 800),
+    phi_a_grid=(1.01, 1.05, 1.09),
+    phi_b_grid=(0.98, 0.96, 0.94),
+    trimming=TrimmingPolicy(0.05),
+    reps=2000,
+    base_seed=0,
+    name="baseline",
 )
+_PRESETS = {config.name: config for config in (
+    _BASELINE,
+    replace(_BASELINE, name="short-bubble", dgp=replace(_BASE_DGP, tau_e=0.5, tau_c=0.55, tau_r=0.6)),
+    replace(_BASELINE, name="trim1pct", trimming=TrimmingPolicy(0.01)),
+    replace(_BASELINE, name="volshift-down",
+            errors=VolatilityScaled(SingleShiftVolatility(1.0, 1.0 / 3.0, 0.5))),
+    replace(_BASELINE, name="volshift-up", errors=VolatilityScaled(SingleShiftVolatility(1.0, 3.0, 0.5))),
+    replace(_BASELINE, name="no-fourth-regime",
+            dgp=replace(_BASE_DGP, tau_r=1.0), targets=(Target.COLLAPSE,)),
+)}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> ExperimentConfig:
@@ -287,31 +301,6 @@ def preset(name: str) -> ExperimentConfig:
     * ``no-fourth-regime``: the collapse runs to the end of the sample
       (tau_r = 1); only the collapse date is tallied.
     """
-    base = ExperimentConfig(
-        dgp=_BASE_DGP,
-        errors=IidGaussian(1.0),
-        T_grid=(400, 800),
-        phi_a_grid=(1.01, 1.05, 1.09),
-        phi_b_grid=(0.98, 0.96, 0.94),
-        trimming=TrimmingPolicy(0.05),
-        reps=2000,
-        base_seed=0,
-        name=name,
-    )
-    if name == "baseline":
-        return base
-    if name == "short-bubble":
-        return replace(base, dgp=replace(_BASE_DGP, tau_e=0.5, tau_c=0.55, tau_r=0.6))
-    if name == "trim1pct":
-        return replace(base, trimming=TrimmingPolicy(0.01))
-    if name == "volshift-down":
-        return replace(base, errors=VolatilityScaled(SingleShiftVolatility(1.0, 1.0 / 3.0, 0.5)))
-    if name == "volshift-up":
-        return replace(base, errors=VolatilityScaled(SingleShiftVolatility(1.0, 3.0, 0.5)))
-    if name == "no-fourth-regime":
-        return replace(
-            base,
-            dgp=replace(_BASE_DGP, tau_r=1.0),
-            targets=(Target.COLLAPSE,),
-        )
-    raise ConfigError([f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}"])
+    if name not in _PRESETS:
+        raise ConfigError([f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}"])
+    return _PRESETS[name]

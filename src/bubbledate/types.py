@@ -380,11 +380,12 @@ class TrimmingPolicy:
             raise ConfigError([f"trimming fraction must lie in (0, 0.25], got {self.rho}"])
 
     def margin(self, T: int) -> int:
-        """ceil(rho * T): number of dates excluded at each boundary."""
-        return int(math.ceil(self.rho * T - _GRID_EPS))
+        """ceil(rho * T), at least 1: number of dates excluded at each boundary."""
+        return max(1, int(math.ceil(self.rho * T - _GRID_EPS)))
 
     def k_hi(self, T: int) -> int:
-        return int(math.floor((1.0 - self.rho) * T + _GRID_EPS))
+        """floor((1 - rho) * T), at most T - 1: the last admissible collapse date."""
+        return min(T - 1, int(math.floor((1.0 - self.rho) * T + _GRID_EPS)))
 
 
 class UnavailableReason(Enum):

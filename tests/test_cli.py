@@ -157,6 +157,17 @@ class TestEstimateCommand:
         assert breaks["recovery"]["index"] is None
         assert breaks["recovery"]["unavailable"] == "degenerate"
 
+    def test_tiny_trim_keeps_one_date_at_each_end(self, tmp_path, capsys):
+        config = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=800,
+                           drift_pre=1.0 / 800.0, drift_post=1.0 / 800.0)
+        path = tmp_path / "s.csv"
+        write_value_csv(path, simulate(config, IidGaussian(1.0), 0).values)
+        ranges = []
+        for trim in ("1e-9", "1e-12"):
+            assert main(["estimate", str(path), "--trim", trim]) == 0
+            ranges.append(json.loads(capsys.readouterr().out)["breaks"]["collapse"]["range"])
+        assert ranges == [[1, 799], [1, 799]]
+
     def test_invalid_inputs_exit_two(self, tmp_path):
         missing = tmp_path / "missing.csv"
         assert main(["estimate", str(missing)]) == 2
@@ -213,7 +224,7 @@ class TestSimulateCommand:
         assert payload["breaks"]["emergence"]["index"] == est.k_e_hat
         assert payload["breaks"]["recovery"]["index"] == est.k_r_hat
 
-    def test_bad_configs_exit_two(self, tmp_path):
+    def test_bad_configs_exit_two(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--seed", "1", "--out", out]) == 2
@@ -223,6 +234,36 @@ class TestSimulateCommand:
         stale = tmp_path / "stale.json"
         stale.write_text(json.dumps({"schema_version": 0, "dgp": {}}))
         assert main(["simulate", "--config", str(stale), "--seed", "1", "--out", out]) == 2
+
+        sim = json.loads(Path(sim_config(tmp_path)).read_text())
+        experiment = json.loads(Path(TestMcCommand().experiment_config(tmp_path)).read_text())
+        malformed = {
+            "simulate": [
+                {**sim, "dgp": {**sim["dgp"], "T": 800.0}},
+                {**sim, "errors": {"kind": "iid_gaussian", "sigma": [1]}},
+                {"schema_version": 1, "dgp": sim["dgp"], "erors": {"kind": "iid_gaussian", "sigma": 3.0}},
+            ],
+            "mc": [
+                {**experiment, "reps": "abc"},
+                {**experiment, "trimming": "x"},
+                {**experiment, "errors": [1]},
+                {**experiment, "errors": {"kind": "volatility_scaled", "profile": "flat"}},
+                [1, 2],
+                {**experiment, "errors": {"kind": "iid_gaussian", "sigma": "1"}},
+                {**experiment, "errors": {"kind": "linear_process", "psi": "ab"}},
+                {**experiment, "bic": "false"},
+                {**experiment, "reps": 12.9},
+                {**experiment, "T_grid": [100.7]},
+            ],
+        }
+        path = tmp_path / "malformed.json"
+        for command, configs in malformed.items():
+            for config in configs:
+                path.write_text(json.dumps(config))
+                argv = [command, "--config", str(path), "--seed", "1", "--out", out]
+                assert main(argv) == 2, config
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and "Traceback" not in err, config
 
 
 class TestMcCommand:

@@ -320,6 +320,18 @@ class TestConfigDicts:
         with pytest.raises(IngestError, match="invalid JSON"):
             load_simulation_config(str(bad))
 
+    def test_count_and_flag_fields_are_strict(self):
+        dgp = dgp_config_to_dict(DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=100))
+        base = {"schema_version": 1, "dgp": dgp, "phi_a_grid": [1.05]}
+        cases = [
+            ({"bic": "false"}, "bic must be a boolean"),
+            ({"reps": 12.9}, "reps must be an integer"),
+            ({"dgp": {**dgp, "T": 800.0}}, "T must be an integer"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ConfigError, match=message):
+                experiment_config_from_dict({**base, **bad})
+
 
 def small_histogram():
     return HistogramResult(
