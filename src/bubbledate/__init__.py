@@ -11,7 +11,6 @@ from .asymptotics import (
     Discretization,
     LimitSample,
     OuPath,
-    ZeroLongRunVarianceError,
     bn_decompose,
     emergence_limit_draws,
     recovery_limit_draws,
@@ -53,7 +52,6 @@ from .types import (
     BreakEstimates,
     BubbleDateError,
     ConfigError,
-    ConstantVolatility,
     DgpConfig,
     DerivedExponents,
     LinearProcessCoeffs,

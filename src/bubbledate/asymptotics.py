@@ -30,15 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import as_generator, stream
-from .types import BubbleDateError, ConfigError, LinearProcessCoeffs, _require_c_b
+from .rng import stream
+from .types import ConfigError, LinearProcessCoeffs, _require_c_b
 
 __all__ = [
     "Discretization",
     "BnDecomposition",
     "OuPath",
     "LimitSample",
-    "ZeroLongRunVarianceError",
     "bn_decompose",
     "sample_ou_path",
     "recovery_limit_draws",
@@ -48,10 +47,6 @@ __all__ = [
 # Draws whose normalizing level is this close to zero are discarded and
 # redrawn; the objective divides by the level.
 REJECTION_THRESHOLD = 1e-8
-
-
-class ZeroLongRunVarianceError(BubbleDateError):
-    """The filter coefficients sum to zero, so no long-run scale exists."""
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ def bn_decompose(coeffs: LinearProcessCoeffs) -> BnDecomposition:
     psi = coeffs.as_array()
     psi_sum = float(psi.sum())
     if psi_sum == 0.0:
-        raise ZeroLongRunVarianceError("filter coefficients sum to zero")
+        raise ConfigError(["filter coefficients sum to zero, so no long-run scale exists"])
     tails = np.cumsum(psi[::-1])[::-1]  # tails[l] = sum_{k >= l} psi_k
     psi_tilde = np.concatenate([tails[1:], [0.0]])
     cross = float(np.dot(psi_tilde[:-1], psi_tilde[1:])) if psi_tilde.size > 1 else 0.0
@@ -161,9 +156,9 @@ def _tail_process(c_b: float, disc: Discretization, rng) -> tuple:
     return lfilter(rho, np.append(db1, x_end)), db1
 
 
-def sample_ou_path(c_b: float, disc: Discretization, seed_or_rng) -> OuPath:
-    """Draw one discretized tail-process path on [0, v_max]."""
-    b_tilde, db1 = _tail_process(_require_c_b(c_b), disc, as_generator(seed_or_rng))
+def sample_ou_path(c_b: float, disc: Discretization, rng: np.random.Generator) -> OuPath:
+    """Draw one discretized tail-process path on [0, v_max] from rng."""
+    b_tilde, db1 = _tail_process(_require_c_b(c_b), disc, rng)
     grid = np.arange(disc.n_grid() + 1) * disc.step
     return OuPath(grid=grid, b_tilde=b_tilde, db1=db1, c_b=c_b, step=disc.step)
 
@@ -254,7 +249,7 @@ def _draw_batch(one_draw, draws: int, seed: int) -> LimitSample:
 def recovery_limit_draws(
     c_b: float,
     draws: int = 10_000,
-    disc: Optional[Discretization] = None,
+    disc: Discretization = Discretization(),
     seed: int = 0,
     correction: Optional[LinearProcessCoeffs] = None,
 ) -> LimitSample:
@@ -265,7 +260,7 @@ def recovery_limit_draws(
     """
     _require_c_b(c_b)
     bn = bn_decompose(correction) if correction is not None else None
-    return _draw_batch(partial(_one_recovery_draw, c_b, disc or Discretization(), bn), draws, seed)
+    return _draw_batch(partial(_one_recovery_draw, c_b, disc, bn), draws, seed)
 
 
 def _emergence_objective(w_left: np.ndarray, w_right: np.ndarray, level: float, step: float) -> tuple:
@@ -291,10 +286,10 @@ def _one_emergence_draw(tau_e: float, disc: Discretization, rng) -> Optional[tup
 def emergence_limit_draws(
     tau_e: float,
     draws: int = 10_000,
-    disc: Optional[Discretization] = None,
+    disc: Discretization = Discretization(),
     seed: int = 0,
 ) -> LimitSample:
     """Batch of independent emergence-limit draws, keyed like recovery draws."""
     if not (0.0 < tau_e < 1.0):
         raise ConfigError([f"tau_e must lie in (0, 1), got {tau_e}"])
-    return _draw_batch(partial(_one_emergence_draw, tau_e, disc or Discretization()), draws, seed)
+    return _draw_batch(partial(_one_emergence_draw, tau_e, disc), draws, seed)

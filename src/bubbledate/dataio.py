@@ -19,7 +19,6 @@ from .montecarlo import ExperimentConfig, HistogramResult, Target
 from .types import (
     BubbleDateError,
     ConfigError,
-    ConstantVolatility,
     DgpConfig,
     LinearProcessCoeffs,
     Series,
@@ -88,6 +87,8 @@ def _resolve_column(header: list, ref: Union[str, int], role: str) -> int:
 
 def read_series(spec: IngestSpec) -> Series:
     """Read and validate one series; raises IngestError with file context."""
+    if len(spec.delimiter) != 1:
+        raise IngestError(f"delimiter must be a single character, got {spec.delimiter!r}")
     try:
         fh = open(spec.path, newline="")
     except OSError as exc:
@@ -185,7 +186,7 @@ def _reject_unknown_keys(data: dict, known, what: str) -> None:
 
 _ERROR_KINDS = {"iid_gaussian": IidGaussian, "volatility_scaled": VolatilityScaled,
                 "linear_process": LinearProcess}
-_PROFILE_KINDS = {"constant": ConstantVolatility, "single_shift": SingleShiftVolatility}
+_PROFILE_KINDS = {"single_shift": SingleShiftVolatility}
 
 # Fields whose JSON key is not the field name.
 _JSON_KEY = {"coeffs": "psi"}

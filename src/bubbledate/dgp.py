@@ -7,16 +7,8 @@ from typing import Union
 
 import numpy as np
 
-from .rng import as_generator
-from .types import (
-    ConfigError,
-    ConstantVolatility,
-    DgpConfig,
-    LinearProcessCoeffs,
-    Series,
-    SingleShiftVolatility,
-    VolatilityProfile,
-)
+from .rng import stream
+from .types import ConfigError, DgpConfig, LinearProcessCoeffs, Series, SingleShiftVolatility
 
 __all__ = [
     "IidGaussian",
@@ -44,10 +36,10 @@ class IidGaussian:
 class VolatilityScaled:
     """e_t = omega(t / T) * z_t: independent normals under a volatility schedule."""
 
-    profile: VolatilityProfile
+    profile: SingleShiftVolatility
 
     def __post_init__(self):
-        if not isinstance(self.profile, (ConstantVolatility, SingleShiftVolatility)):
+        if not isinstance(self.profile, SingleShiftVolatility):
             raise ConfigError([f"unsupported volatility profile: {type(self.profile).__name__}"])
 
 
@@ -72,21 +64,16 @@ def _filter_innovations(psi: np.ndarray, v: np.ndarray, T: int) -> np.ndarray:
     return np.convolve(v, psi, mode="valid")[:T]
 
 
-def generate_errors(spec: ErrorSpec, T: int, seed_or_rng) -> np.ndarray:
-    """Draw the error sequence e_1 .. e_T for one replication.
-
-    A Generator may be passed instead of an integer seed, which is how the
-    Monte Carlo driver hands each replication its own stream.
-    """
+def generate_errors(spec: ErrorSpec, T: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the error sequence e_1 .. e_T for one replication from rng."""
     if T < 1:
         raise ConfigError([f"T must be positive, got {T}"])
-    rng = as_generator(seed_or_rng)
     if isinstance(spec, IidGaussian):
         return spec.sigma * rng.standard_normal(T)
     if isinstance(spec, VolatilityScaled):
         z = rng.standard_normal(T)
         t = np.arange(1, T + 1, dtype=np.float64)
-        return spec.profile.omega_array(t / T) * z
+        return spec.profile.omega(t / T) * z
     if isinstance(spec, LinearProcess):
         v = spec.innovation_sigma * rng.standard_normal(spec.coeffs.order + T)
         return _filter_innovations(spec.coeffs.as_array(), v, T)
@@ -124,9 +111,9 @@ def batch_paths(config: DgpConfig, errors: np.ndarray) -> np.ndarray:
     return y
 
 
-def simulate(config: DgpConfig, errors: ErrorSpec, seed_or_rng) -> Series:
-    """Simulate one path and wrap it as a Series carrying its y_0."""
-    eps = generate_errors(errors, config.T, seed_or_rng)
+def simulate(config: DgpConfig, errors: ErrorSpec, seed: int) -> Series:
+    """Simulate one path from the root stream of seed and wrap it as a Series carrying its y_0."""
+    eps = generate_errors(errors, config.T, stream(seed))
     y = batch_paths(config, eps[np.newaxis, :])[0]
     return Series(y[1:], y0=float(y[0]))
 

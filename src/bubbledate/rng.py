@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .types import ConfigError
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the (seed, *key) stream.
 
     The same arguments always produce the same stream, and distinct keys
-    produce statistically independent streams.
+    produce statistically independent streams.  A negative seed raises
+    ConfigError.
     """
+    if seed < 0:
+        raise ConfigError([f"seed must be a non-negative integer, got {seed}"])
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def as_generator(seed_or_rng) -> np.random.Generator:
-    """Pass through a Generator, or build the root stream for an int seed."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return stream(int(seed_or_rng))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,9 +30,7 @@ __all__ = [
     "derived_exponents",
     "explosion_exponent",
     "collapse_exponent",
-    "ConstantVolatility",
     "SingleShiftVolatility",
-    "VolatilityProfile",
     "LinearProcessCoeffs",
     "TrimmingPolicy",
     "UnavailableReason",
@@ -77,20 +75,27 @@ class LabelMismatch:
 class SeriesValidationError(BubbleDateError):
     """Raised when observed data violates the series invariants.
 
-    ``issues`` lists every violation found, not just the first one.
+    ``issues`` lists every violation found, not just the first one.  It is
+    the exception's only argument, so a copy pickled in a worker keeps it.
     """
 
     def __init__(self, issues: Sequence[object]):
         self.issues = list(issues)
-        super().__init__("; ".join(repr(i) for i in self.issues))
+        super().__init__(self.issues)
+
+    def __str__(self) -> str:
+        return "; ".join(repr(i) for i in self.issues)
 
 
 class ConfigError(BubbleDateError):
-    """Raised when a configuration object violates its invariants."""
+    """Raised when a configuration object violates its invariants, listed in ``problems``."""
 
     def __init__(self, problems: Sequence[str]):
         self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+        super().__init__(self.problems)
+
+    def __str__(self) -> str:
+        return "; ".join(self.problems)
 
 
 @dataclass(frozen=True)
@@ -301,23 +306,6 @@ def derived_exponents(config: DgpConfig, c_a: float = 1.0, c_b: float = 1.0) -> 
 
 
 @dataclass(frozen=True)
-class ConstantVolatility:
-    """Flat volatility schedule: omega(s) = sigma for all s in [0, 1]."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ConfigError([f"sigma must be positive and finite, got {self.sigma}"])
-
-    def omega(self, s: float) -> float:
-        return self.sigma
-
-    def omega_array(self, s: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(s, dtype=np.float64), self.sigma)
-
-
-@dataclass(frozen=True)
 class SingleShiftVolatility:
     """One-time volatility shift: sigma0 before tau_sigma, sigma1 strictly after."""
 
@@ -336,15 +324,9 @@ class SingleShiftVolatility:
         if problems:
             raise ConfigError(problems)
 
-    def omega(self, s: float) -> float:
-        return self.sigma1 if s > self.tau_sigma else self.sigma0
-
-    def omega_array(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        return np.where(s > self.tau_sigma, self.sigma1, self.sigma0)
-
-
-VolatilityProfile = Union[ConstantVolatility, SingleShiftVolatility]
+    def omega(self, s) -> np.ndarray:
+        """Volatility at the sample fractions s (array or scalar), elementwise."""
+        return np.where(np.asarray(s, dtype=np.float64) > self.tau_sigma, self.sigma1, self.sigma0)
 
 
 @dataclass(frozen=True)

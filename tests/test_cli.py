@@ -176,6 +176,8 @@ class TestEstimateCommand:
         write_value_csv(path, three_phase_tent())
         assert main(["estimate", str(path), "--value-column", "price"]) == 2
         assert main(["estimate", str(path), "--trim", "0.5"]) == 2
+        for delimiter in ("", ";;"):
+            assert main(["estimate", str(path), "--delimiter", delimiter]) == 2
 
         short = tmp_path / "short.csv"
         write_value_csv(short, np.ones(10))
@@ -234,6 +236,8 @@ class TestSimulateCommand:
         stale = tmp_path / "stale.json"
         stale.write_text(json.dumps({"schema_version": 0, "dgp": {}}))
         assert main(["simulate", "--config", str(stale), "--seed", "1", "--out", out]) == 2
+        assert main(["simulate", "--config", sim_config(tmp_path), "--seed", "-1", "--out", out]) == 2
+        assert "non-negative" in capsys.readouterr().err
 
         sim = json.loads(Path(sim_config(tmp_path)).read_text())
         experiment = json.loads(Path(TestMcCommand().experiment_config(tmp_path)).read_text())
@@ -325,6 +329,22 @@ class TestMcCommand:
         cfg = self.experiment_config(tmp_path)
         assert main(["mc", "--config", cfg, "--seed", "0", "--reps", "0",
                      "--out", str(tmp_path / "x")]) == 2
+        assert main(["mc", "--config", cfg, "--seed", "-1", "--reps", "2",
+                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_worker_errors_print_as_serial(self, tmp_path, capsys):
+        # an error raised inside a pool worker reaches stderr as the serial run prints it
+        cfg = json.loads(Path(self.experiment_config(tmp_path)).read_text())
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({**cfg, "T_grid": [120, 3]}))
+        for config, seed in ((str(short), "0"), (self.experiment_config(tmp_path), "-1")):
+            errs = []
+            for workers in ("1", "2"):
+                assert main(["mc", "--config", config, "--seed", seed, "--reps", "2",
+                             "--workers", workers, "--out", str(tmp_path / "x")]) == 2
+                errs.append(capsys.readouterr().err)
+            assert errs[0] == errs[1]
+            assert errs[0].startswith("error: ") and "; " not in errs[0]
 
 
 class TestLimitdistCommand:
@@ -388,16 +408,16 @@ class TestLimitdistCommand:
                      "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--step", "2.0", "--vmax", "5",
                      "--seed", "1", "--draws", "2", "--out", prefix]) == 2
+        # a zero-sum filter has no long-run scale
+        assert main(["limitdist", "recovery", "--psi", "1,-1", "--seed", "1",
+                     "--draws", "2", "--vmax", "5", "--out", prefix]) == 2
+        for law in ("recovery", "emergence"):
+            assert main(["limitdist", law, "--seed", "-1", "--draws", "2", "--vmax", "5",
+                         "--out", prefix]) == 2
 
     def test_weak_mean_reversion_runs(self, tmp_path):
         assert main(["limitdist", "recovery", "--cb", "1e-6", "--vmax", "5", "--draws", "2",
                      "--seed", "1", "--out", str(tmp_path / "x")]) == 0
-
-    def test_degenerate_filter_exits_three(self, tmp_path):
-        # a zero-sum filter has no long-run scale; the sampler rejects it
-        prefix = str(tmp_path / "zero")
-        assert main(["limitdist", "recovery", "--psi", "1,-1", "--seed", "1",
-                     "--draws", "2", "--vmax", "5", "--out", prefix]) == 3
 
 
 def test_cli_import_loads_no_scipy():

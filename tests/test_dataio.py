@@ -10,7 +10,6 @@ import pytest
 
 from bubbledate import (
     ConfigError,
-    ConstantVolatility,
     DgpConfig,
     ExperimentConfig,
     IidGaussian,
@@ -209,7 +208,6 @@ class TestConfigDicts:
     def test_error_spec_round_trips(self):
         specs = [
             IidGaussian(2.0),
-            VolatilityScaled(ConstantVolatility(1.5)),
             VolatilityScaled(SingleShiftVolatility(1.0, 3.0, 0.5)),
             LinearProcess(LinearProcessCoeffs((1.0, 0.5, 0.25)), innovation_sigma=2.0),
         ]
@@ -223,6 +221,8 @@ class TestConfigDicts:
             error_spec_from_dict({"kind": "volatility_scaled"})
         with pytest.raises(ConfigError):
             error_spec_from_dict({"kind": "linear_process"})
+        with pytest.raises(ConfigError, match="single_shift"):
+            error_spec_from_dict({"kind": "volatility_scaled", "profile": {"kind": "constant", "sigma": 2}})
 
     def test_error_spec_rejects_unknown_keys(self):
         cases = [

@@ -10,7 +10,6 @@ from conftest import plain_recursion_path
 
 from bubbledate import (
     ConfigError,
-    ConstantVolatility,
     DgpConfig,
     IidGaussian,
     LinearProcess,
@@ -96,7 +95,7 @@ class TestRegimeRecursion:
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=80, y0=3.0)
         spec = IidGaussian(1.0)
         s = simulate(cfg, spec, 123)
-        y = batch_paths(cfg, generate_errors(spec, 80, 123)[np.newaxis, :])[0]
+        y = batch_paths(cfg, generate_errors(spec, 80, stream(123))[np.newaxis, :])[0]
         assert s.y0 == 3.0
         assert np.array_equal(s.values, y[1:])
 
@@ -112,11 +111,6 @@ class TestErrorSpecs:
         z = stream(2).standard_normal(50)
         e = generate_errors(IidGaussian(2.5), 50, stream(2))
         assert np.array_equal(e, 2.5 * z)
-
-    def test_constant_volatility_equals_iid(self):
-        a = generate_errors(IidGaussian(2.0), 200, stream(6))
-        b = generate_errors(VolatilityScaled(ConstantVolatility(2.0)), 200, stream(6))
-        assert np.array_equal(a, b)
 
     def test_volatility_shift_variance_ratio(self):
         prof = SingleShiftVolatility(sigma0=1.0, sigma1=3.0, tau_sigma=0.5)

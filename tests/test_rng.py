@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from bubbledate.rng import as_generator, stream
+from bubbledate import ConfigError
+from bubbledate.rng import stream
 
 
 def test_same_key_same_stream():
@@ -35,9 +37,8 @@ def test_prefix_property_within_one_stream():
     assert np.array_equal(short, long[:400])
 
 
-def test_as_generator_passthrough_and_seed():
-    gen = stream(4)
-    assert as_generator(gen) is gen
-    assert np.array_equal(
-        as_generator(4).standard_normal(8), stream(4).standard_normal(8)
-    )
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="non-negative"):
+        stream(-1)
+    with pytest.raises(ConfigError, match="non-negative"):
+        stream(-3, 0, 0)

@@ -19,13 +19,32 @@ def unused_imports(tree: ast.Module) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(exported(tree))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def exported(tree: ast.Module) -> list:
+    """The names listed in a module's ``__all__``, empty if it has none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def unbound_exports(tree: ast.Module) -> list:
+    """Names in ``__all__`` that no top-level statement of the module binds."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return [name for name in exported(tree) if name not in bound]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
@@ -42,3 +61,18 @@ def test_unused_import_check_flags_dead_names():
         "x: A = np.zeros(1)\n"
     )
     assert unused_imports(tree) == [(2, "os"), (3, "B")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    assert unbound_exports(ast.parse(path.read_text())) == []
+
+
+def test_unbound_export_check_flags_stale_names():
+    tree = ast.parse(
+        "from .types import A\n"
+        "__all__ = ['A', 'B', 'C', 'D', 'E']\n"
+        "def C(): pass\n"
+        "D: int = 1\n"
+    )
+    assert unbound_exports(tree) == ["B", "E"]

@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from bubbledate import (
     ConfigError,
-    ConstantVolatility,
     DgpConfig,
     LinearProcessCoeffs,
     Series,
@@ -222,13 +222,6 @@ class TestTrimmingPolicy:
 
 
 class TestVolatilityProfiles:
-    def test_constant_profile(self):
-        prof = ConstantVolatility(2.0)
-        assert prof.omega(0.1) == 2.0
-        assert prof.omega(0.9) == 2.0
-        with pytest.raises(ConfigError):
-            ConstantVolatility(0.0)
-
     def test_single_shift_is_strict_after_tau(self):
         prof = SingleShiftVolatility(sigma0=1.0, sigma1=3.0, tau_sigma=0.5)
         assert prof.omega(0.5) == 1.0  # shift applies strictly after tau_sigma
@@ -238,8 +231,8 @@ class TestVolatilityProfiles:
     def test_omega_array_matches_scalar(self):
         prof = SingleShiftVolatility(sigma0=0.5, sigma1=2.0, tau_sigma=0.3)
         taus = np.linspace(0.0, 1.0, 21)
-        arr = prof.omega_array(taus)
-        assert arr.tolist() == [prof.omega(t) for t in taus]
+        arr = prof.omega(taus)
+        assert arr.tolist() == [2.0 if t > 0.3 else 0.5 for t in taus]
 
     def test_single_shift_validation(self):
         with pytest.raises(ConfigError):
@@ -259,3 +252,16 @@ class TestLinearProcessCoeffs:
             LinearProcessCoeffs(())
         with pytest.raises(ConfigError):
             LinearProcessCoeffs((1.0, math.nan))
+
+
+def test_errors_survive_pickling():
+    # a worker process hands its exception back pickled; the copy must keep
+    # the problem list and print the same message
+    config = pickle.loads(pickle.dumps(ConfigError(["T must be at least 2", "phi_a must exceed 1"])))
+    assert config.problems == ["T must be at least 2", "phi_a must exceed 1"]
+    assert str(config) == "T must be at least 2; phi_a must exceed 1"
+    issues = [NonFinite(3), LabelMismatch(expected=5, actual=4), TooShort(5)]
+    series = pickle.loads(pickle.dumps(SeriesValidationError(issues)))
+    assert series.issues == issues
+    assert str(series) == str(SeriesValidationError(issues))
+    assert str(series).startswith("NonFinite(index=3); LabelMismatch(")
