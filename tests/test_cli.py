@@ -408,9 +408,6 @@ class TestLimitdistCommand:
                      "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--step", "2.0", "--vmax", "5",
                      "--seed", "1", "--draws", "2", "--out", prefix]) == 2
-        # a zero-sum filter has no long-run scale
-        assert main(["limitdist", "recovery", "--psi", "1,-1", "--seed", "1",
-                     "--draws", "2", "--vmax", "5", "--out", prefix]) == 2
         for law in ("recovery", "emergence"):
             assert main(["limitdist", law, "--seed", "-1", "--draws", "2", "--vmax", "5",
                          "--out", prefix]) == 2
@@ -418,6 +415,14 @@ class TestLimitdistCommand:
     def test_weak_mean_reversion_runs(self, tmp_path):
         assert main(["limitdist", "recovery", "--cb", "1e-6", "--vmax", "5", "--draws", "2",
                      "--seed", "1", "--out", str(tmp_path / "x")]) == 0
+
+    def test_degenerate_filter_exits_two(self, tmp_path, capsys):
+        # a zero-sum filter has no long-run scale: invalid input, not a dating failure
+        prefix = str(tmp_path / "zero")
+        assert main(["limitdist", "recovery", "--psi", "1,-1", "--seed", "1",
+                     "--draws", "2", "--vmax", "5", "--out", prefix]) == 2
+        assert "sum to zero" in capsys.readouterr().err
+        assert not os.path.exists(prefix + "_draws.csv")
 
 
 def test_cli_import_loads_no_scipy():
