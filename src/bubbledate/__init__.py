@@ -32,9 +32,11 @@ from .estimator import (
     ModelChoice,
     PrefixMoments,
     SegmentFit,
+    TileEstimates,
     bic_select,
     build_prefix_moments,
     estimate_dates,
+    estimate_tile,
     fit_segment,
     ssr_split,
 )

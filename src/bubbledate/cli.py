@@ -6,9 +6,9 @@ experiment, and ``limitdist`` samples the limit laws of the date
 estimators.  Stochastic commands require an explicit --seed; estimation is
 deterministic and takes none.
 
-Exit codes: 0 on success, 2 for invalid inputs or configuration, 3 when a
-requested break date could not be estimated (partial results are still
-written).
+Exit codes: 0 on success, 2 for invalid inputs or configuration or an
+output path that cannot be written, 3 when a requested break date could
+not be estimated (partial results are still written).
 """
 from __future__ import annotations
 
@@ -188,8 +188,8 @@ def cmd_mc(args) -> int:
     if args.reps is not None:
         overrides["reps"] = args.reps
     config = replace(config, **overrides)
+    os.makedirs(args.out, exist_ok=True)  # before the run, which an unusable --out would waste
     result = run_experiment(config, workers=args.workers)
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "experiment.json"), "w") as fh:
         json.dump(dataio.experiment_config_to_dict(config), fh, indent=2, sort_keys=True)
     dataio.write_summary_csv(os.path.join(args.out, "summary.csv"), result.histograms)
@@ -262,6 +262,11 @@ def main(argv=None) -> int:
         # estimation-layer failure: a scan could not produce an estimate
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
+    except OSError as exc:
+        # inputs are read through dataio, which reports them as IngestError,
+        # so this is an output path that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def entry() -> None:

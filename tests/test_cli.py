@@ -168,6 +168,13 @@ class TestEstimateCommand:
             ranges.append(json.loads(capsys.readouterr().out)["breaks"]["collapse"]["range"])
         assert ranges == [[1, 799], [1, 799]]
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "tent.csv"
+        write_value_csv(path, three_phase_tent())
+        assert main(["estimate", str(path), "--out", str(tmp_path / "no-dir" / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
     def test_invalid_inputs_exit_two(self, tmp_path):
         missing = tmp_path / "missing.csv"
         assert main(["estimate", str(missing)]) == 2
@@ -225,6 +232,12 @@ class TestSimulateCommand:
         assert payload["breaks"]["collapse"]["index"] == est.k_c_hat
         assert payload["breaks"]["emergence"]["index"] == est.k_e_hat
         assert payload["breaks"]["recovery"]["index"] == est.k_r_hat
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        out = str(tmp_path / "no-dir" / "x.csv")
+        assert main(["simulate", "--config", sim_config(tmp_path), "--seed", "1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
     def test_bad_configs_exit_two(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
@@ -317,6 +330,18 @@ class TestMcCommand:
         rows = list(csv.reader(open(out / "summary.csv")))
         assert len(rows) == 13
         assert {r[4] for r in rows[1:]} == {"collapse"}
+
+    def test_out_is_a_file_exits_two_before_running(self, tmp_path, capsys, monkeypatch):
+        import bubbledate.cli as cli
+
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["mc", "--preset", "baseline", "--reps", "1", "--seed", "0", "--out", str(out)]) == 2
+        assert runs == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
     def test_preset_and_config_are_exclusive(self, tmp_path):
         cfg = self.experiment_config(tmp_path)
@@ -411,6 +436,13 @@ class TestLimitdistCommand:
         for law in ("recovery", "emergence"):
             assert main(["limitdist", law, "--seed", "-1", "--draws", "2", "--vmax", "5",
                          "--out", prefix]) == 2
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        prefix = str(tmp_path / "no-dir" / "e")
+        assert main(["limitdist", "emergence", "--seed", "1", "--draws", "2", "--vmax", "5",
+                     "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
     def test_weak_mean_reversion_runs(self, tmp_path):
         assert main(["limitdist", "recovery", "--cb", "1e-6", "--vmax", "5", "--draws", "2",

@@ -19,6 +19,7 @@ from conftest import (
 )
 
 from bubbledate import (
+    BubbleDateError,
     DegenerateSegmentError,
     DgpConfig,
     EmptyRangeError,
@@ -33,12 +34,14 @@ from bubbledate import (
     bic_select,
     build_prefix_moments,
     estimate_dates,
+    estimate_tile,
     fit_segment,
     simulate,
     ssr_split,
 )
-from bubbledate.estimator import RESID_FLOOR_REL, _pass, _scan
+from bubbledate.estimator import RESID_FLOOR_REL, _pass, _read, _row_scan, _scan
 from bubbledate.rng import stream
+from bubbledate.types import MIN_ESTIMATION_LENGTH
 
 
 def explosive_config(T, phi_a):
@@ -70,9 +73,15 @@ def growth_then_zeros():
 
 
 def window_scan(moments, seg_start, seg_end, k_lo, k_hi):
-    """``_scan`` over [seg_start, seg_end] from fresh passes over the window."""
-    window = moments.pairs[:, seg_start - 1:seg_end]
-    return _scan(_pass(window), _pass(window[:, ::-1]), seg_start, seg_end, k_lo, k_hi)
+    """``_scan`` over [seg_start, seg_end] of a one-row tile, as its row's ``BreakScan``.
+
+    Masks confine the reads to the window: the forward read zeroes the
+    times before seg_start, the backward read those after seg_end.
+    """
+    pairs = moments.pairs[:, np.newaxis]
+    times = np.arange(1, moments.T + 1)
+    reads = _read(pairs * (times >= seg_start)), _read((pairs * (times <= seg_end))[..., ::-1])
+    return _row_scan(_scan(*reads, np.arange(k_lo, k_hi + 1), np.array([k_lo]), np.array([k_hi])), 0)
 
 
 class TestPrefixMoments:
@@ -467,3 +476,89 @@ def test_golden_estimates():
                         if curve is not None:
                             h.update(curve.tobytes())
     assert h.hexdigest() == "c826167dcc1ea3f9346c10c192ba0d00b7c3a75155b9a3ebd2c856f058eeba91"
+
+
+def contract_tile():
+    """16 rows of T = 40 with their presample values.
+
+    Rows 0-10 are random walks, explosive paths and an exact tent; row 11
+    has a NaN, row 12 is all zeros (no collapse candidate), row 13 puts
+    k_c at the lower trimming edge (no emergence range), row 14 leaves a
+    degenerate recovery window and row 15 is an exact tent again.
+    """
+    rng = stream(404)
+    rows, y0 = [], []
+    for _ in range(6):
+        rows.append(rng.normal(size=40).cumsum())
+        y0.append(0.0)
+    for seed in range(4):
+        s = simulate(explosive_config(40, 1.3), IidGaussian(1.0), seed)
+        rows.append(s.values)
+        y0.append(s.y0)
+    walk = rng.normal(size=40).cumsum()
+    walk[17] = np.nan
+    rows += [three_phase_tent(), walk, np.zeros(40), boundary_kink_series(), growth_then_zeros(), three_phase_tent()]
+    y0 += [1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    return np.array(rows), np.array(y0)
+
+
+def tile_record(tile):
+    """A tile's per-row results with every SSR as its float's hex form."""
+    def bits(seg):
+        return None if seg is None else tuple(float(v).hex() for v in seg)
+
+    fields = ("k_c_hat", "k_e_hat", "k_r_hat", "unavailable_reason_e", "unavailable_reason_r")
+    record = [getattr(tile, f) for f in fields]
+    record += [[bits(seg) for seg in getattr(tile, f"segment_ssr_{x}")] for x in "cer"]
+    return record + [tile.chosen_models()]
+
+
+class TestEstimateTile:
+    @pytest.mark.parametrize("presample", [True, False])
+    def test_rows_match_their_one_row_bic_select(self, presample):
+        values, y0 = contract_tile()
+        tile = estimate_tile(values, y0 if presample else None)
+        chosen = tile.chosen_models()
+        failed = 0
+        for i, row in enumerate(values):
+            try:
+                report = bic_select(Series(row, y0=float(y0[i]) if presample else None))
+            except BubbleDateError:
+                failed += 1
+                assert [r[i] for r in tile_record(tile)] == [None] * 9, i
+                continue
+            est = report.estimates
+            assert (tile.k_e_hat[i], tile.k_c_hat[i], tile.k_r_hat[i]) == (est.k_e_hat, est.k_c_hat, est.k_r_hat)
+            assert (tile.unavailable_reason_e[i], tile.unavailable_reason_r[i]) == (
+                est.unavailable_reason_e, est.unavailable_reason_r)
+            for x in "cer":
+                got, want = getattr(tile, f"segment_ssr_{x}")[i], getattr(est, f"segment_ssr_{x}")
+                assert (got is None and want is None) or [v.hex() for v in got] == [v.hex() for v in want]
+            assert chosen[i] is report.chosen
+        assert failed == 2  # the NaN row and the all-zero row
+        assert tile.unavailable_reason_e[13] is UnavailableReason.BOUNDARY_VIOLATION
+        assert tile.unavailable_reason_r[14] is UnavailableReason.DEGENERATE
+        assert tile.n_obs == (40 if presample else 39)
+
+    def test_split_tiles_agree(self):
+        values, y0 = contract_tile()
+        whole = tile_record(estimate_tile(values, y0))
+        head, rest = tile_record(estimate_tile(values[:1], y0[:1])), tile_record(estimate_tile(values[1:], y0[1:]))
+        assert [h + r for h, r in zip(head, rest)] == whole
+        halves = tile_record(estimate_tile(values[:8], y0[:8])), tile_record(estimate_tile(values[8:], y0[8:]))
+        assert [h + r for h, r in zip(*halves)] == whole
+
+    def test_row_accumulation_matches_one_dimensional(self):
+        a = stream(5).normal(size=(16, 800)) * np.exp(20.0 * stream(6).normal(size=(16, 800)))
+        for tile in (a, a[:, ::-1]):
+            acc = np.add.accumulate(tile, axis=1)
+            for r in range(tile.shape[0]):
+                assert acc[r].tobytes() == np.add.accumulate(tile[r]).tobytes()
+
+    def test_short_tile_fails_every_row(self):
+        values, y0 = contract_tile()
+        assert MIN_ESTIMATION_LENGTH == 40  # contract_tile is a tile of the shortest accepted length
+        short = estimate_tile(values[:, 1:], y0)
+        assert tile_record(short) == [[None] * 16] * 9
+        with pytest.raises(SeriesValidationError):
+            estimate_dates(Series(values[0, 1:], y0=0.0))

@@ -282,7 +282,7 @@ def test_serial_run_makes_one_batch_per_cell(monkeypatch):
     generate_errors = montecarlo.generate_errors
 
     def counting_batch_paths(config, errors):
-        batch_rows.append(errors.shape[0])
+        batch_rows.append((config.T, errors.shape[0]))
         return batch_paths(config, errors)
 
     def counting_generate_errors(spec, T, rng):
@@ -293,9 +293,17 @@ def test_serial_run_makes_one_batch_per_cell(monkeypatch):
     monkeypatch.setattr(montecarlo, "generate_errors", counting_generate_errors)
     cfg = small_config(T_grid=(100, 120), phi_b_grid=(0.85,))
     run_experiment(cfg, workers=1)
-    # one block per cell; one error draw per replication in every cell
-    assert batch_rows == [cfg.reps] * len(cfg.cells())
-    assert error_draws == [cell.T for cell in cfg.cells() for _ in range(cfg.reps)]
+    # one block per T: one batch per cell, one error draw per replication
+    # shared by every cell with that T
+    assert batch_rows == [(cell.T, cfg.reps) for cell in cfg.cells()]
+    assert error_draws == [T for T in cfg.T_grid for _ in range(cfg.reps)]
+
+    # a preset has six cells per T, so it draws six times fewer error rows
+    error_draws.clear()
+    cfg = replace(preset("volshift-up"), reps=3)
+    run_experiment(cfg, workers=1)
+    assert len(cfg.cells()) * cfg.reps == 6 * len(error_draws)
+    assert error_draws == [T for T in cfg.T_grid for _ in range(cfg.reps)]
 
 
 def test_pool_run_makes_one_block_per_worker(monkeypatch):
@@ -315,14 +323,15 @@ def test_pool_run_makes_one_block_per_worker(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, config, cell, rep_lo, rep_hi):
-            blocks.append((cell, rep_lo, rep_hi))
+        def submit(self, fn, config, T, rep_lo, rep_hi):
+            blocks.append((T, rep_lo, rep_hi))
             future = Future()
-            future.set_result(fn(config, cell, rep_lo, rep_hi))
+            future.set_result(fn(config, T, rep_lo, rep_hi))
             return future
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SynchronousPool)
-    cfg = small_config(T_grid=(100, 120), reps=64)
+    cfg = small_config(T_grid=(100, 120), phi_b_grid=(0.85,), reps=64)
     pooled = run_experiment(cfg, workers=2)
-    assert blocks == [(cell, lo, lo + 32) for cell in cfg.cells() for lo in (0, 32)]
+    # one block per (T, worker), each tallying every cell with that T
+    assert blocks == [(T, lo, lo + 32) for T in cfg.T_grid for lo in (0, 32)]
     assert result_digest(pooled) == result_digest(run_experiment(cfg, workers=1))
