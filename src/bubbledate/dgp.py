@@ -80,35 +80,48 @@ def generate_errors(spec: ErrorSpec, T: int, rng: np.random.Generator) -> np.nda
     raise ConfigError([f"unsupported error spec: {type(spec).__name__}"])
 
 
-def batch_paths(config: DgpConfig, errors: np.ndarray) -> np.ndarray:
-    """Run the regime recursion on a (reps, T) error matrix.
+def _regime_recursion(config: DgpConfig, phi_a: np.ndarray, phi_b: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """Run the regime recursion for several coefficient pairs on one (rows, T) error matrix.
 
-    Returns a (reps, T+1) array whose column 0 is y_0.  The recursion is
-    applied one time step at a time with the same elementwise operations
-    on every row, so row r of a batch equals, bit for bit, the one-row
-    batch of row r's errors.
+    ``config`` supplies T, the break dates, the drifts and y_0; ``phi_a``
+    and ``phi_b`` hold one coefficient per cell, shape (cells, 1).  Returns
+    a time-major (T+1, cells, rows) array whose slice [0] is y_0.  Each
+    step is one elementwise operation on a contiguous (cells, rows) slice
+    followed by adding that step's errors, so every (cell, row) path is,
+    bit for bit, the one-row, one-cell path of its coefficients and errors.
     """
-    errors = np.atleast_2d(np.asarray(errors, dtype=np.float64))
-    reps, T = errors.shape
+    rows, T = errors.shape
     if T != config.T:
         raise ConfigError([f"error matrix has T={T}, config expects {config.T}"])
     k_e, k_c, k_r = config.break_indices
     d0 = config.drift_pre_value
     d1 = config.drift_post_value
-    y = np.empty((reps, T + 1), dtype=np.float64)
-    y[:, 0] = config.y0
+    e = np.ascontiguousarray(errors.T)
+    y = np.empty((T + 1, phi_a.shape[0], rows), dtype=np.float64)
+    y[0] = config.y0
     for t in range(1, T + 1):
-        prev = y[:, t - 1]
-        e = errors[:, t - 1]
         if t <= k_e:
-            y[:, t] = d0 + prev + e
+            np.add(y[t - 1], d0, out=y[t])
         elif t <= k_c:
-            y[:, t] = config.phi_a * prev + e
+            np.multiply(y[t - 1], phi_a, out=y[t])
         elif t <= k_r:
-            y[:, t] = config.phi_b * prev + e
+            np.multiply(y[t - 1], phi_b, out=y[t])
         else:
-            y[:, t] = d1 + prev + e
+            np.add(y[t - 1], d1, out=y[t])
+        y[t] += e[t - 1]
     return y
+
+
+def batch_paths(config: DgpConfig, errors: np.ndarray) -> np.ndarray:
+    """Run the regime recursion of config on a (reps, T) error matrix.
+
+    Returns a (reps, T+1) array whose column 0 is y_0.  Every row goes
+    through the same elementwise operations, so row r of a batch equals,
+    bit for bit, the one-row batch of row r's errors.
+    """
+    errors = np.atleast_2d(np.asarray(errors, dtype=np.float64))
+    coeff = np.array([[config.phi_a]]), np.array([[config.phi_b]])
+    return np.ascontiguousarray(_regime_recursion(config, *coeff, errors)[:, 0, :].T)
 
 
 def simulate(config: DgpConfig, errors: ErrorSpec, seed: int) -> Series:

@@ -9,15 +9,17 @@ order or on how replications are distributed over workers.
 
 The unit of work is a (T, replication block): the block draws each
 replication's errors once into one (rows, T) matrix, shared by every cell
-with that T.  For each such cell one ``batch_paths`` call runs the regime
-recursion on all rows, and ``estimate_tile`` dates them in tiles of
-``TILE_ROWS`` rows.  A block returns one Counter tally per cell, and a
-cell's tally is the sum of its blocks'.
+with that T.  One regime recursion runs all of the T's distinct cells on
+those rows at once, and ``estimate_tile`` dates each distinct cell's rows
+in tiles of ``TILE_ROWS`` rows.  A block returns one Counter tally per
+distinct cell, and a cell's tally is the sum of its blocks'; a cell that
+the grid lists twice (the anchor pair sits in both sweep arms) is
+simulated and dated once and reports the same tally at both positions.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -25,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .dgp import ErrorSpec, IidGaussian, VolatilityScaled, batch_paths, generate_errors
+from .dgp import ErrorSpec, IidGaussian, VolatilityScaled, _regime_recursion, generate_errors
 from .estimator import ModelChoice, estimate_tile
 from .rng import stream
 from .types import (
@@ -169,33 +171,38 @@ _ESTIMATE_FIELD = {
 }
 
 
-def _run_block(config: ExperimentConfig, T: int, rep_lo: int, rep_hi: int) -> list:
-    """Tally one block of replications for every cell with sample size T.
+def _run_block(config: ExperimentConfig, T: int, rep_lo: int, rep_hi: int) -> dict:
+    """Tally one block of replications for every distinct cell with sample size T.
 
     Replication r draws its errors from its own (base_seed, r, 0) stream,
-    once for all of these cells; each cell's paths come from one
-    ``batch_paths`` call.  Each cell's tally counts ``(target, k_hat)`` and
-    ``("bic", model)`` keys, with ``None`` for an unavailable date or a
-    failed replication.  Returns the tallies in cell order.  Tallies are
-    commutative, so blocks merge in any order.
+    once for all of these cells, and one regime recursion runs every
+    distinct cell's paths on them.  Each cell's tally counts
+    ``(target, k_hat)`` and ``("bic", model)`` keys, with ``None`` for an
+    unavailable date or a failed replication.  Returns the tallies keyed by
+    cell, in cell order.  Tallies are commutative, so blocks merge in any
+    order.
     """
     errors = np.empty((rep_hi - rep_lo, T))
     for i, rep in enumerate(range(rep_lo, rep_hi)):
         errors[i] = generate_errors(config.errors, T, stream(config.base_seed, rep, 0))
-    tallies = []
-    for cell in config.cells():
-        if cell.T != T:
-            continue
-        paths = batch_paths(config.cell_dgp(cell), errors)
+    cells = list(dict.fromkeys(cell for cell in config.cells() if cell.T == T))
+    paths = _regime_recursion(
+        replace(config.dgp, T=T),
+        np.array([[cell.phi_a] for cell in cells]),
+        np.array([[cell.phi_b] for cell in cells]),
+        errors,
+    )
+    tallies = {}
+    for c, cell in enumerate(cells):
         tally: Counter = Counter()
-        for lo in range(0, paths.shape[0], TILE_ROWS):
-            tile = paths[lo:lo + TILE_ROWS]
+        for lo in range(0, errors.shape[0], TILE_ROWS):
+            tile = np.ascontiguousarray(paths[:, c, lo:lo + TILE_ROWS].T)
             est = estimate_tile(tile[:, 1:], tile[:, 0], config.trimming)
             for t in config.targets:
                 tally.update(zip(repeat(t), getattr(est, _ESTIMATE_FIELD[t])))
             if config.bic:
                 tally.update(zip(repeat("bic"), est.chosen_models()))
-        tallies.append(tally)
+        tallies[cell] = tally
     return tallies
 
 
@@ -232,27 +239,33 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     The unit of work is a (T, replication block): each sample size's
     replications are split into one block of about reps / workers
     replications per worker, so a serial run makes one block per T, and
-    each block tallies every cell with its T.  Replication streams are
-    keyed by (base_seed, replication) and block tallies are summed per
-    cell, so the parallel run is bit-identical to the serial one.
+    each block simulates and dates every distinct cell with its T once.
+    A cell listed more than once in ``config.cells()`` reports the same
+    tally at each position.  The pool never starts more processes than
+    there are blocks.  Replication streams are keyed by (base_seed,
+    replication) and block tallies are summed per cell, so the parallel
+    run is bit-identical to the serial one.
     """
+    if workers < 1:
+        raise ConfigError([f"workers must be at least 1, got {workers}"])
     cells = config.cells()
     sizes = list(dict.fromkeys(cell.T for cell in cells))
-    chunk = math.ceil(config.reps / max(workers, 1))
+    chunk = math.ceil(config.reps / workers)
     tasks = [(T, lo, min(lo + chunk, config.reps)) for T in sizes for lo in range(0, config.reps, chunk)]
-    if workers <= 1:
+    pool_size = min(workers, len(tasks))
+    if pool_size == 1:
         outcomes = [_run_block(config, T, lo, hi) for (T, lo, hi) in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = [pool.submit(_run_block, config, T, lo, hi) for (T, lo, hi) in tasks]
             outcomes = [f.result() for f in futures]
-    cell_tallies = [Counter() for _ in cells]
-    for (T, _, _), tallies in zip(tasks, outcomes):
-        for ci, tally in zip([ci for ci, cell in enumerate(cells) if cell.T == T], tallies):
-            cell_tallies[ci].update(tally)
+    cell_tallies = defaultdict(Counter)
+    for tallies in outcomes:
+        for cell, tally in tallies.items():
+            cell_tallies[cell].update(tally)
     result = ExperimentResult(config=config, histograms=[])
-    for cell, tally in zip(cells, cell_tallies):
-        _add_cell(result, cell, tally)
+    for cell in cells:
+        _add_cell(result, cell, cell_tallies[cell])
     return result
 
 

@@ -357,6 +357,13 @@ class TestMcCommand:
         assert main(["mc", "--config", cfg, "--seed", "-1", "--reps", "2",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_workers_below_one_exit_two(self, tmp_path, capsys):
+        cfg = self.experiment_config(tmp_path)
+        for workers in ("0", "-3"):
+            assert main(["mc", "--config", cfg, "--seed", "0", "--reps", "2", "--workers", workers,
+                         "--out", str(tmp_path / "x")]) == 2
+            assert "workers must be at least 1" in capsys.readouterr().err
+
     def test_worker_errors_print_as_serial(self, tmp_path, capsys):
         # an error raised inside a pool worker reaches stderr as the serial run prints it
         cfg = json.loads(Path(self.experiment_config(tmp_path)).read_text())

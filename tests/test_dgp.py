@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bubbledate import (
     generate_errors,
     simulate,
 )
-from bubbledate.dgp import _filter_innovations
+from bubbledate.dgp import _filter_innovations, _regime_recursion
 from bubbledate.rng import stream
 
 
@@ -83,8 +84,23 @@ class TestRegimeRecursion:
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=60, y0=0.0)
         errors = stream(55).normal(size=(5, 60))
         batched = batch_paths(cfg, errors)
+        assert batched.shape == (5, 61) and batched.flags.c_contiguous
         for r in range(5):
             assert np.array_equal(batched[r], batch_paths(cfg, errors[r : r + 1])[0])
+
+    def test_stacked_recursion_matches_each_cell_bitwise(self):
+        cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=90, y0=0.5,
+                        drift_pre=0.01, drift_post=0.02)
+        pairs = [(1.01, 0.96), (1.05, 0.98), (1.09, 0.94), (1.05, 0.96), (1.3, 0.5)]
+        phi_a = np.array([[a] for a, _ in pairs])
+        phi_b = np.array([[b] for _, b in pairs])
+        for rows in (1, 3, 8, 13):
+            errors = stream(77, rows).normal(size=(rows, 90))
+            stacked = _regime_recursion(cfg, phi_a, phi_b, errors)
+            assert stacked.shape == (91, len(pairs), rows)
+            for c, (a, b) in enumerate(pairs):
+                one = batch_paths(replace(cfg, phi_a=a, phi_b=b), errors)
+                assert np.array_equal(stacked[:, c, :].T, one)
 
     def test_batch_rejects_wrong_length(self):
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=60)

@@ -273,49 +273,83 @@ def test_golden_digest(name, bic, workers, digest):
     assert result_digest(result) == digest
 
 
-def test_serial_run_makes_one_batch_per_cell(monkeypatch):
+def count_block_work(monkeypatch):
+    """Record each recursion's (T, cells, rows), each dated tile's rows and each error draw's T."""
     import bubbledate.montecarlo as montecarlo
 
-    batch_rows = []
-    error_draws = []
-    batch_paths = montecarlo.batch_paths
+    work = {"recursions": [], "tile_rows": [], "error_draws": []}
+    regime_recursion = montecarlo._regime_recursion
+    estimate_tile = montecarlo.estimate_tile
     generate_errors = montecarlo.generate_errors
 
-    def counting_batch_paths(config, errors):
-        batch_rows.append((config.T, errors.shape[0]))
-        return batch_paths(config, errors)
+    def counting_recursion(config, phi_a, phi_b, errors):
+        work["recursions"].append((config.T, phi_a.shape[0], errors.shape[0]))
+        return regime_recursion(config, phi_a, phi_b, errors)
+
+    def counting_estimate_tile(values, y0, trimming):
+        work["tile_rows"].append(values.shape[0])
+        return estimate_tile(values, y0, trimming)
 
     def counting_generate_errors(spec, T, rng):
-        error_draws.append(T)
+        work["error_draws"].append(T)
         return generate_errors(spec, T, rng)
 
-    monkeypatch.setattr(montecarlo, "batch_paths", counting_batch_paths)
+    monkeypatch.setattr(montecarlo, "_regime_recursion", counting_recursion)
+    monkeypatch.setattr(montecarlo, "estimate_tile", counting_estimate_tile)
     monkeypatch.setattr(montecarlo, "generate_errors", counting_generate_errors)
+    return work
+
+
+def test_serial_run_makes_one_recursion_per_block(monkeypatch):
+    work = count_block_work(monkeypatch)
     cfg = small_config(T_grid=(100, 120), phi_b_grid=(0.85,))
     run_experiment(cfg, workers=1)
-    # one block per T: one batch per cell, one error draw per replication
-    # shared by every cell with that T
-    assert batch_rows == [(cell.T, cfg.reps) for cell in cfg.cells()]
-    assert error_draws == [T for T in cfg.T_grid for _ in range(cfg.reps)]
+    # one block per T: one recursion over the T's cells, one error draw per
+    # replication shared by every cell with that T
+    assert work["recursions"] == [(T, 2, cfg.reps) for T in cfg.T_grid]
+    assert sum(work["tile_rows"]) == len(cfg.cells()) * cfg.reps
+    assert work["error_draws"] == [T for T in cfg.T_grid for _ in range(cfg.reps)]
 
-    # a preset has six cells per T, so it draws six times fewer error rows
-    error_draws.clear()
+    # a preset has six cells per T, the anchor pair twice: five distinct
+    # cells are simulated and dated, and six times fewer error rows drawn
+    for records in work.values():
+        records.clear()
     cfg = replace(preset("volshift-up"), reps=3)
     run_experiment(cfg, workers=1)
-    assert len(cfg.cells()) * cfg.reps == 6 * len(error_draws)
-    assert error_draws == [T for T in cfg.T_grid for _ in range(cfg.reps)]
+    assert work["recursions"] == [(T, 5, cfg.reps) for T in cfg.T_grid]
+    assert 12 * sum(work["tile_rows"]) == 10 * len(cfg.cells()) * cfg.reps
+    assert len(cfg.cells()) * cfg.reps == 6 * len(work["error_draws"])
+    assert work["error_draws"] == [T for T in cfg.T_grid for _ in range(cfg.reps)]
+
+
+def test_repeated_cell_is_dated_once_and_reported_at_each_position(monkeypatch):
+    work = count_block_work(monkeypatch)
+    cfg = small_config(phi_a_grid=(1.05, 1.05), reps=20, bic=True)
+    result = run_experiment(cfg, workers=1)
+    assert work["recursions"] == [(120, 1, cfg.reps)]
+    assert sum(work["tile_rows"]) == cfg.reps
+    first, second = result.histograms[:3], result.histograms[3:]
+    assert [h.cell for h in first] == [h.cell for h in second] == [CellKey(120, 1.05, 0.90)] * 3
+    for a, b in zip(first, second):
+        assert (a.target, a.bins, a.unavailable) == (b.target, b.bins, b.unavailable)
+    a, b = result.bic_tallies
+    assert (a.cell, a.counts, a.failed) == (b.cell, b.counts, b.failed)
+    once = run_experiment(replace(cfg, phi_a_grid=(1.05,)), workers=1)
+    assert [h.bins for h in once.histograms] == [h.bins for h in first]
+    assert once.bic_tallies[0].counts == a.counts
 
 
 def test_pool_run_makes_one_block_per_worker(monkeypatch):
     import bubbledate.montecarlo as montecarlo
 
     blocks = []
+    pools = []
 
     class SynchronousPool:
         """Runs each submitted block at once and records its replication range."""
 
         def __init__(self, max_workers):
-            pass
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -334,4 +368,13 @@ def test_pool_run_makes_one_block_per_worker(monkeypatch):
     pooled = run_experiment(cfg, workers=2)
     # one block per (T, worker), each tallying every cell with that T
     assert blocks == [(T, lo, lo + 32) for T in cfg.T_grid for lo in (0, 32)]
+    assert pools == [2]
     assert result_digest(pooled) == result_digest(run_experiment(cfg, workers=1))
+
+    # more workers than blocks: the pool is sized to the blocks
+    blocks.clear()
+    pools.clear()
+    cfg = replace(cfg, reps=2)
+    run_experiment(cfg, workers=16)
+    assert blocks == [(T, lo, lo + 1) for T in cfg.T_grid for lo in (0, 1)]
+    assert pools == [4]
