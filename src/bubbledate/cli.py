@@ -13,6 +13,7 @@ not be estimated (partial results are still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -44,6 +45,7 @@ EXIT_INVALID = 2
 EXIT_UNAVAILABLE = 3
 
 
+@functools.cache  # built once per process: building costs about a millisecond, parsing reuses it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bubbledate",

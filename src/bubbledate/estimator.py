@@ -175,8 +175,8 @@ class TileEstimates:
     segment_ssr_e: list
     segment_ssr_r: list
 
-    def chosen_models(self) -> list:
-        """Each row's ``bic_select`` model choice, None for a failed row."""
+    def chosen_indices(self) -> list:
+        """Each row's ``bic_select`` model choice as its position in ``ModelChoice``, None for a failed row."""
         return [None if c is None else _choose(_bic_values(self.n_obs, c, e, r))
                 for c, e, r in zip(self.segment_ssr_c, self.segment_ssr_e, self.segment_ssr_r)]
 
@@ -464,25 +464,26 @@ def _bic_value(ssr: float, n: int, n_params: int) -> float:
     return n * math.log(ssr / n) + n_params * math.log(n)
 
 
-def _bic_values(n: int, seg_c, seg_e, seg_r) -> dict:
-    """BIC of each model from the segment SSRs of the scans (None where a date is unavailable).
+def _bic_values(n: int, seg_c, seg_e, seg_r) -> list:
+    """BIC of each model in ``ModelChoice`` order, from the scans' segment
+    SSRs (None where a date is unavailable).
 
     Model SSRs are sums of segment SSRs, added left to right in date order.
     """
     ssr_a, ssr_b = seg_c
-    bic = {ModelChoice.TWO_REGIME: _bic_value(ssr_a + ssr_b, n, 3),
-           ModelChoice.THREE_REGIME: math.inf, ModelChoice.FOUR_REGIME: math.inf}
+    bic = [_bic_value(ssr_a + ssr_b, n, 3), math.inf, math.inf]
     if seg_e is not None:
         ssr_ab = seg_e[0] + seg_e[1]
-        bic[ModelChoice.THREE_REGIME] = _bic_value(ssr_ab + ssr_b, n, 5)
+        bic[1] = _bic_value(ssr_ab + ssr_b, n, 5)
         if seg_r is not None:
-            bic[ModelChoice.FOUR_REGIME] = _bic_value(ssr_ab + seg_r[0] + seg_r[1], n, 7)
+            bic[2] = _bic_value(ssr_ab + seg_r[0] + seg_r[1], n, 7)
     return bic
 
 
-def _choose(bic: dict) -> ModelChoice:
-    chosen = ModelChoice.TWO_REGIME
-    for model in (ModelChoice.THREE_REGIME, ModelChoice.FOUR_REGIME):
+def _choose(bic: list) -> int:
+    """Position of the chosen model in ``ModelChoice``."""
+    chosen = 0
+    for model in (1, 2):
         if bic[model] < bic[chosen]:  # strict: ties stay with fewer regimes
             chosen = model
     return chosen
@@ -506,4 +507,5 @@ def bic_select(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) -> B
              ModelChoice.THREE_REGIME: None if k_e is None else (k_e, k_c),
              ModelChoice.FOUR_REGIME: None if k_e is None or k_r is None else (k_e, k_c, k_r)}
     bic = _bic_values(n, est.segment_ssr_c, est.segment_ssr_e, est.segment_ssr_r)
-    return BicReport(bic=bic, chosen=_choose(bic), dates=dates, n_obs=n, estimates=est)
+    return BicReport(bic=dict(zip(ModelChoice, bic)), chosen=list(ModelChoice)[_choose(bic)], dates=dates,
+                     n_obs=n, estimates=est)

@@ -15,12 +15,15 @@ in tiles of ``TILE_ROWS`` rows.  A block returns one Counter tally per
 distinct cell, and a cell's tally is the sum of its blocks'; a cell that
 the grid lists twice (the anchor pair sits in both sweep arms) is
 simulated and dated once and reports the same tally at both positions.
+A run with n workers runs every n-th block in the calling process and the
+rest on a pool of n - 1 worker processes, which later runs reuse.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import repeat
@@ -177,8 +180,9 @@ def _run_block(config: ExperimentConfig, T: int, rep_lo: int, rep_hi: int) -> di
     Replication r draws its errors from its own (base_seed, r, 0) stream,
     once for all of these cells, and one regime recursion runs every
     distinct cell's paths on them.  Each cell's tally counts
-    ``(target, k_hat)`` and ``("bic", model)`` keys, with ``None`` for an
-    unavailable date or a failed replication.  Returns the tallies keyed by
+    ``(target.value, k_hat)`` and ``("bic", model index)`` keys (an enum
+    member would hash in Python), with ``None`` for an unavailable date or
+    a failed replication.  Returns the tallies keyed by
     cell, in cell order.  Tallies are commutative, so blocks merge in any
     order.
     """
@@ -199,9 +203,9 @@ def _run_block(config: ExperimentConfig, T: int, rep_lo: int, rep_hi: int) -> di
             tile = np.ascontiguousarray(paths[:, c, lo:lo + TILE_ROWS].T)
             est = estimate_tile(tile[:, 1:], tile[:, 0], config.trimming)
             for t in config.targets:
-                tally.update(zip(repeat(t), getattr(est, _ESTIMATE_FIELD[t])))
+                tally.update(zip(repeat(t.value), getattr(est, _ESTIMATE_FIELD[t])))
             if config.bic:
-                tally.update(zip(repeat("bic"), est.chosen_models()))
+                tally.update(zip(repeat("bic"), est.chosen_indices()))
         tallies[cell] = tally
     return tallies
 
@@ -216,8 +220,8 @@ def _add_cell(result: ExperimentResult, cell: CellKey, tally: Counter) -> None:
             cell=cell,
             target=t,
             true_date=true_date[t],
-            bins=dict(sorted((k, n) for (key, k), n in tally.items() if key == t and k is not None)),
-            unavailable=tally[t, None],
+            bins=dict(sorted((k, n) for (key, k), n in tally.items() if key == t.value and k is not None)),
+            unavailable=tally[t.value, None],
             reps=config.reps,
         )
         for t in config.targets
@@ -226,11 +230,33 @@ def _add_cell(result: ExperimentResult, cell: CellKey, tally: Counter) -> None:
         result.bic_tallies.append(
             BicTally(
                 cell=cell,
-                counts={m: tally["bic", m] for m in ModelChoice},
+                counts={m: tally["bic", i] for i, m in enumerate(ModelChoice)},
                 failed=tally["bic", None],
                 reps=config.reps,
             )
         )
+
+
+# The pool of the last pooled run, by size, kept for later runs: a fresh
+# worker's first blocks run about twice as slowly as a warm one's.  Its
+# processes exit with the interpreter.
+_pool: dict = {}
+
+
+def _drop_pool() -> None:
+    for pool in _pool.values():
+        pool.shutdown(cancel_futures=True)
+    _pool.clear()
+
+
+def _run_here(config: ExperimentConfig, task: tuple) -> Future:
+    """Run one block in this process, its outcome held as a pool block's is."""
+    future = Future()
+    try:
+        future.set_result(_run_block(config, *task))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -241,10 +267,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     replications per worker, so a serial run makes one block per T, and
     each block simulates and dates every distinct cell with its T once.
     A cell listed more than once in ``config.cells()`` reports the same
-    tally at each position.  The pool never starts more processes than
-    there are blocks.  Replication streams are keyed by (base_seed,
-    replication) and block tallies are summed per cell, so the parallel
-    run is bit-identical to the serial one.
+    tally at each position.  With n = min(workers, blocks), this process
+    runs every n-th block and a pool of n - 1 processes the rest; the pool
+    serves later runs of its size until a worker dies.  The first failing
+    block in block order raises, as in a serial run.  Replication streams
+    are keyed by (base_seed, replication) and block tallies are summed per
+    cell, so the parallel run is bit-identical to the serial one.
     """
     if workers < 1:
         raise ConfigError([f"workers must be at least 1, got {workers}"])
@@ -252,13 +280,24 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     sizes = list(dict.fromkeys(cell.T for cell in cells))
     chunk = math.ceil(config.reps / workers)
     tasks = [(T, lo, min(lo + chunk, config.reps)) for T in sizes for lo in range(0, config.reps, chunk)]
-    pool_size = min(workers, len(tasks))
-    if pool_size == 1:
-        outcomes = [_run_block(config, T, lo, hi) for (T, lo, hi) in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = [pool.submit(_run_block, config, T, lo, hi) for (T, lo, hi) in tasks]
-            outcomes = [f.result() for f in futures]
+    n = min(workers, len(tasks))
+    futures, reused = {}, n - 1 in _pool
+    try:
+        if n > 1:
+            if not reused:
+                _drop_pool()
+                _pool[n - 1] = ProcessPoolExecutor(max_workers=n - 1)
+            futures = {i: _pool[n - 1].submit(_run_block, config, *t) for i, t in enumerate(tasks) if i % n}
+        futures.update((i, _run_here(config, tasks[i])) for i in range(0, len(tasks), n))
+        outcomes = [futures[i].result() for i in range(len(tasks))]
+    except BrokenProcessPool:
+        _drop_pool()
+        if reused:  # a worker of the kept pool died since the last run: start afresh
+            return run_experiment(config, workers)
+        raise
+    finally:
+        for future in futures.values():
+            future.cancel()
     cell_tallies = defaultdict(Counter)
     for tallies in outcomes:
         for cell, tally in tallies.items():

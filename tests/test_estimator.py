@@ -510,7 +510,7 @@ def tile_record(tile):
     fields = ("k_c_hat", "k_e_hat", "k_r_hat", "unavailable_reason_e", "unavailable_reason_r")
     record = [getattr(tile, f) for f in fields]
     record += [[bits(seg) for seg in getattr(tile, f"segment_ssr_{x}")] for x in "cer"]
-    return record + [tile.chosen_models()]
+    return record + [tile.chosen_indices()]
 
 
 class TestEstimateTile:
@@ -518,7 +518,7 @@ class TestEstimateTile:
     def test_rows_match_their_one_row_bic_select(self, presample):
         values, y0 = contract_tile()
         tile = estimate_tile(values, y0 if presample else None)
-        chosen = tile.chosen_models()
+        chosen = tile.chosen_indices()
         failed = 0
         for i, row in enumerate(values):
             try:
@@ -534,7 +534,7 @@ class TestEstimateTile:
             for x in "cer":
                 got, want = getattr(tile, f"segment_ssr_{x}")[i], getattr(est, f"segment_ssr_{x}")
                 assert (got is None and want is None) or [v.hex() for v in got] == [v.hex() for v in want]
-            assert chosen[i] is report.chosen
+            assert list(ModelChoice)[chosen[i]] is report.chosen
         assert failed == 2  # the NaN row and the all-zero row
         assert tile.unavailable_reason_e[13] is UnavailableReason.BOUNDARY_VIOLATION
         assert tile.unavailable_reason_r[14] is UnavailableReason.DEGENERATE

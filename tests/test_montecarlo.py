@@ -3,8 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -342,8 +347,14 @@ def test_repeated_cell_is_dated_once_and_reported_at_each_position(monkeypatch):
 def test_pool_run_makes_one_block_per_worker(monkeypatch):
     import bubbledate.montecarlo as montecarlo
 
-    blocks = []
+    ran = []  # every block, run in this process or submitted to the pool
+    submitted = []
     pools = []
+    run_block = montecarlo._run_block
+
+    def recording_block(config, T, rep_lo, rep_hi):
+        ran.append((T, rep_lo, rep_hi))
+        return run_block(config, T, rep_lo, rep_hi)
 
     class SynchronousPool:
         """Runs each submitted block at once and records its replication range."""
@@ -351,30 +362,71 @@ def test_pool_run_makes_one_block_per_worker(monkeypatch):
         def __init__(self, max_workers):
             pools.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, config, T, rep_lo, rep_hi):
-            blocks.append((T, rep_lo, rep_hi))
+            submitted.append((T, rep_lo, rep_hi))
             future = Future()
             future.set_result(fn(config, T, rep_lo, rep_hi))
             return future
 
+        def shutdown(self, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SynchronousPool)
+    monkeypatch.setattr(montecarlo, "_run_block", recording_block)
+    monkeypatch.setattr(montecarlo, "_pool", {})  # a pool kept by an earlier run would bypass the stub
     cfg = small_config(T_grid=(100, 120), phi_b_grid=(0.85,), reps=64)
     pooled = run_experiment(cfg, workers=2)
-    # one block per (T, worker), each tallying every cell with that T
-    assert blocks == [(T, lo, lo + 32) for T in cfg.T_grid for lo in (0, 32)]
-    assert pools == [2]
+    # one block per (T, worker), each tallying every cell with that T: this
+    # process runs every second block, a pool of one process the others
+    blocks = [(T, lo, lo + 32) for T in cfg.T_grid for lo in (0, 32)]
+    assert sorted(ran) == blocks
+    assert submitted == blocks[1::2]
+    assert pools == [1]
     assert result_digest(pooled) == result_digest(run_experiment(cfg, workers=1))
 
-    # more workers than blocks: the pool is sized to the blocks
-    blocks.clear()
-    pools.clear()
+    # more workers than blocks: four processes, this one and a pool of three
+    for records in (ran, submitted, pools):
+        records.clear()
     cfg = replace(cfg, reps=2)
     run_experiment(cfg, workers=16)
-    assert blocks == [(T, lo, lo + 1) for T in cfg.T_grid for lo in (0, 1)]
-    assert pools == [4]
+    blocks = [(T, lo, lo + 1) for T in cfg.T_grid for lo in (0, 1)]
+    assert sorted(ran) == blocks
+    assert submitted == blocks[1:]
+    assert pools == [3]
+    run_experiment(cfg, workers=16)  # the next run of that size keeps the pool
+    assert pools == [3]
+
+
+def test_pool_outlives_a_killed_worker():
+    import bubbledate.montecarlo as montecarlo
+
+    cfg = small_config(reps=8, bic=True)
+    serial = result_digest(run_experiment(cfg, workers=1))
+    assert result_digest(run_experiment(cfg, workers=2)) == serial
+    (kept,) = montecarlo._pool.values()
+    assert result_digest(run_experiment(cfg, workers=2)) == serial
+    assert list(montecarlo._pool.values()) == [kept]
+    for pid in list(kept._processes):
+        os.kill(pid, signal.SIGKILL)
+    assert result_digest(run_experiment(cfg, workers=2)) == serial
+    (fresh,) = montecarlo._pool.values()
+    assert fresh is not kept
+
+
+def test_pooled_run_exits_with_the_interpreter():
+    import bubbledate
+
+    script = (
+        "from dataclasses import replace\n"
+        "import bubbledate.montecarlo as mc\n"
+        "mc.run_experiment(replace(mc.preset('baseline'), reps=4), workers=2)\n"
+        "print(*[pid for pool in mc._pool.values() for pid in pool._processes])\n"
+    )
+    src = str(Path(bubbledate.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    workers = [int(pid) for pid in proc.stdout.split()]
+    assert len(workers) == 1
+    # the interpreter joins its workers before it exits, so none is left, not even a zombie
+    assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
