@@ -16,7 +16,9 @@ one masked read for each subsample scan.  A row's subsample window
 depends on its own collapse estimate, so a masked pass zeroes each row's
 columns outside its window.  A zeroed pair adds exact zeros, so the
 masked pass over the tile equals, bit for bit, a pass over each row's
-window.
+window, and it skips the zero columns that lead every row.  Each row of
+a pass starts with a zero pair, so the pass steps along the rows in
+contiguous memory.
 """
 from __future__ import annotations
 
@@ -74,7 +76,7 @@ class EmptyRangeError(BubbleDateError):
 
 @dataclass(frozen=True)
 class PrefixMoments:
-    """Regression pairs of a series, the input of every recursive pass.
+    """Regression pairs of a series; ``_pass`` reads their lags and values.
 
     Column t-1 of ``pairs`` holds, for regression time t, the lag y_{t-1},
     the value y_t, y_{t-1}^2, y_{t-1} y_t and the rounding floor
@@ -181,34 +183,42 @@ class TileEstimates:
                 for c, e, r in zip(self.segment_ssr_c, self.segment_ssr_e, self.segment_ssr_r)]
 
 
-def _pairs(values: np.ndarray, y0) -> np.ndarray:
-    """(5, rows, T) regression pairs of a tile; each row laid out as ``PrefixMoments.pairs``."""
-    pairs = np.empty((5, *values.shape))
-    lag, value, lag2, cross, floor = pairs
-    lag[:, 0], lag[:, 1:] = (0.0 if y0 is None else y0), values[:, :-1]
-    value[:] = values
+def _tile_pairs(values: np.ndarray, y0) -> np.ndarray:
+    """(2, 2 rows, T + 1) lags and values of a (rows, T) tile, laid out for ``_pass``.
+
+    Row i reads series i forward and row rows + i reads it backward: a
+    zero pair, then the lags and values of the series' T regression times
+    (rows 0 and 1 of ``PrefixMoments.pairs``) in reading order.
+    """
+    rows, T = values.shape
+    pairs = np.empty((2, 2 * rows, T + 1))
+    pairs[:, :, 0] = 0.0
+    lag, value = pairs[:, :rows]
+    lag[:, 1], lag[:, 2:] = (0.0 if y0 is None else y0), values[:, :-1]
+    value[:, 1:] = values
     if y0 is None:
-        value[:, 0] = 0.0  # t = 1 is not a regression observation without a presample value
-    np.multiply(lag, lag, out=lag2)
-    np.multiply(lag, value, out=cross)
-    np.multiply(value, value, out=floor)
-    floor *= RESID_FLOOR_REL
+        value[:, 1] = 0.0  # t = 1 is not a regression observation without a presample value
+    pairs[:, rows:, 1:] = pairs[:, :rows, :0:-1]
     return pairs
 
 
 def build_prefix_moments(series: Series) -> PrefixMoments:
     """O(T) pass producing the regression pairs behind every scan."""
-    pairs = _pairs(series.values[np.newaxis], series.y0)[:, 0]
+    lag, value = _tile_pairs(series.values[np.newaxis], series.y0)[:, 0, 1:]
+    pairs = np.stack([lag, value, lag * lag, lag * value, value * value * RESID_FLOOR_REL])
     return PrefixMoments(pairs=pairs, T=series.T, t_start=1 if series.y0 is not None else 2)
 
 
 def _pass(pairs: np.ndarray) -> tuple:
-    """Lag sums of squares S_i and SSR_i of the fits on the first i pairs.
+    """Lag sums of squares S_i and SSR_i of the fits on the first i pairs,
+    and each row's count of zero S_i.
 
-    ``pairs`` holds the five rows of ``PrefixMoments.pairs``, each a window
-    of one series or a (rows, T) tile, reversed along the last axis for a
-    backward read; the pass runs along that axis.  With phi_i = C_i / S_i,
-    the recursive-residual identity of Brown, Durbin & Evans (1975),
+    ``pairs`` starts with the lag and value rows of ``PrefixMoments.pairs``
+    (further rows are not read), each a window of one series or a
+    (rows, W) tile, reversed along the last axis for a backward read; the
+    pass runs along that axis and forms x_i^2, x_i y_i and the rounding
+    floor itself.  With phi_i = C_i / S_i, the recursive-residual identity
+    of Brown, Durbin & Evans (1975),
     SSR_i = SSR_{i-1} + (y_i - phi_{i-1} x_i)^2 S_{i-1} / S_i, adds terms
     >= 0 and differences no sum.  This gain form is required: the equal
     (y_i - phi_{i-1} x_i)(y_i - phi_i x_i) cancels where S_{i-1} / S_i is
@@ -219,24 +229,39 @@ def _pass(pairs: np.ndarray) -> tuple:
     thus add exact zeros, and the pass over the rest is bit-identical to a
     pass over the rest alone.  Accumulation is sequential, so a pass's
     prefix is bit-identical to a pass over it.
+
+    The steps that pair i - 1 with i run on the rows flattened end to end,
+    so on a C-contiguous tile they read contiguous memory.  There a row's
+    first pair follows the previous row's last, so each row of a tile must
+    start with a zero pair: it adds an exact zero whatever precedes it,
+    and its S = 0 gives the row's first data pair the first pair's rule.
     """
-    x, y, _, _, floor = pairs
-    S, C = np.add.accumulate(pairs[2:4], axis=-1)
-    zero = S == 0.0  # S never decreases, so its zeros lead
-    S_or_1 = S + zero
-    phi = np.divide(C[..., :-1], S_or_1[..., :-1], out=C[..., :-1])  # phi_{i-1}, where S_{i-1} > 0
-    np.copyto(phi, 0.0, where=zero[..., :-1])
-    phi *= x[..., 1:]
-    r = y.copy()
-    r[..., 1:] -= phi
+    shape = pairs.shape[1:]
+    x, y = pairs[:2].reshape(2, -1)
+    S, C = np.multiply(x, x), np.multiply(x, y)
+    for total in (S, C):
+        np.add.accumulate(total.reshape(shape), axis=-1, out=total.reshape(shape))
+    zero = S == 0.0  # S never decreases, so its zeros lead each row
+    S_or_1 = S.copy()
+    np.copyto(S_or_1, 1.0, where=zero)
+    phi = np.divide(C[:-1], S_or_1[:-1], out=C[:-1])  # phi_{i-1}, where S_{i-1} > 0
+    np.copyto(phi, 0.0, where=zero[:-1])
+    phi *= x[1:]
+    r = np.empty_like(y)
+    r[0] = y[0]
+    np.subtract(y[1:], phi, out=r[1:])
     r *= r
+    floor = np.multiply(y, y, out=C)
+    floor *= RESID_FLOOR_REL
     np.copyto(r, 0.0, where=r <= floor)
-    gain = np.divide(S[..., :-1], S_or_1[..., 1:], out=S_or_1[..., 1:])  # 0 at the first nonzero S_i
-    np.copyto(gain, 1.0, where=zero[..., 1:])
-    r[..., 1:] *= gain
+    gain = np.divide(S[:-1], S_or_1[1:], out=S_or_1[1:])  # 0 at the first nonzero S_i
+    np.copyto(gain, 1.0, where=zero[1:])
+    r[1:] *= gain
     # a squared residual with slope 0 is finite after the floor, so 0 * r = 0
-    r[..., 0] *= zero[..., 0]
-    return S, np.add.accumulate(r, axis=-1, out=r)
+    r[0] *= zero[0]
+    ssr, zero = r.reshape(shape), zero.reshape(shape)
+    zeros = zero.argmin(axis=-1) + shape[-1] * zero[..., -1]  # argmin is 0 where every S is 0
+    return S.reshape(shape), np.add.accumulate(ssr, axis=-1, out=ssr), zeros
 
 
 def fit_segment(moments: PrefixMoments, start: int, end: int) -> SegmentFit:
@@ -244,7 +269,7 @@ def fit_segment(moments: PrefixMoments, start: int, end: int) -> SegmentFit:
     if not (1 <= start <= end <= moments.T):
         raise EmptyRangeError(f"segment [{start}, {end}] outside 1..{moments.T}")
     window = moments.pairs[:, start - 1:end]
-    S, ssr = _pass(window)
+    S, ssr, _ = _pass(window)
     if S[-1] == 0.0:
         raise DegenerateSegmentError(f"segment [{start}, {end}] has zero lagged sum of squares")
     n_obs = end - max(start, moments.t_start) + 1
@@ -258,29 +283,31 @@ def ssr_split(moments: PrefixMoments, k: int) -> float:
     return fit_segment(moments, 1, k).ssr + fit_segment(moments, k + 1, moments.T).ssr
 
 
-def _scan(forward, backward, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> TileScan:
-    """SSR scan of each tile row's splits k in [lo, hi], among the candidates ``ks``.
+def _scan(forward, backward, a: int, b: int, lo: np.ndarray, hi: np.ndarray) -> TileScan:
+    """SSR scan of each tile row's splits k in [lo, hi], among the candidates a..b.
 
-    ``forward`` and ``backward`` are (leading zeros, SSRs) of ``_pass``
-    reads of the rows forward and backward, masked or not, where the first
-    counts the zeros that lead each row's S.  Candidate k pairs the
-    forward prefix through time k with the backward prefix from time k+1.
-    Candidates with a zero lagged sum of squares on either side are
-    skipped; as S never decreases, the others form one interval per row.
-    A row whose range has no other candidate finds no minimizer.  SSR
-    values within a relative tolerance of a row's minimum count as ties
-    and the smallest date wins.
+    ``forward`` and ``backward`` are (offset, zero S counts, SSRs) of
+    ``_pass`` reads of the rows of a (rows, T) tile, each row led by a zero
+    pair.  A read that skips its first ``offset`` pairs, all of them zero,
+    holds in column j the SSR of the first offset + j pairs, and its counts
+    include the skipped pairs.  Candidate k pairs the forward prefix
+    through time k with the backward prefix from time k+1.  Candidates
+    with a zero lagged sum of squares on either side are skipped; as S
+    never decreases, the others form one interval per row.  A row whose
+    range has no other candidate finds no minimizer.  SSR values within a
+    relative tolerance of a row's minimum count as ties and the smallest
+    date wins.
     """
-    (z1, ssr1), (z2, ssr2) = forward, backward
-    rows, T = ssr1.shape
-    if not ks.size:
+    (o1, z1, ssr1), (o2, z2, ssr2) = forward, backward
+    rows, T = ssr1.shape[0], o1 + ssr1.shape[1] - 1
+    if a > b:
         raise EmptyRangeError("empty candidate range")
-    a, b = int(ks[0]), int(ks[-1])
     if not (1 <= a and b < T):
         raise EmptyRangeError(f"candidates [{a}, {b}] must split 1..{T} into nonempty segments")
-    left, right = ssr1[:, a - 1:b], ssr2[:, T - 1 - b:T - a][:, ::-1]
+    ks = np.arange(a, b + 1)
+    left, right = ssr1[:, a - o1:b + 1 - o1], ssr2[:, T - b - o2:T + 1 - a - o2][:, ::-1]
     ssr = left + right
-    valid_lo, valid_hi = np.maximum(lo, z1 + 1), np.minimum(hi, T - 1 - z2)
+    valid_lo, valid_hi = np.maximum(lo, z1), np.minimum(hi, T - z2)
     np.copyto(ssr, np.inf, where=(ks < valid_lo[:, np.newaxis]) | (ks > valid_hi[:, np.newaxis]))
     best = ssr.min(axis=1, keepdims=True)
     # where every valid SSR is +inf the first valid candidate wins; a row
@@ -290,51 +317,41 @@ def _scan(forward, backward, ks: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> 
     return TileScan(lo, hi, ks, ssr, valid_lo, valid_hi, valid_lo <= valid_hi, a + i, left[at], right[at])
 
 
-def _read(pairs: np.ndarray) -> tuple:
-    """A ``_pass`` over stacked reads in the form ``_scan`` takes: (leading zeros of S, SSRs).
+def _tile_scans(values: np.ndarray, y0, trimming: TrimmingPolicy) -> tuple:
+    """The collapse, emergence and recovery scans of a (rows, T) tile.
 
-    S never decreases, so its zeros lead each row.  S is dropped here
-    rather than outliving the pass.
+    Two ``_pass`` calls serve the three scans, each on the rows read
+    forward stacked over the rows read backward (``_tile_pairs``).  The
+    first reads the full sample.  The second reads it masked: forward from
+    each row's k_c + 1 for the recovery scan and backward from its k_c for
+    the emergence scan.  Every row of the masked read then leads with at
+    least min(k_c, T - k_c) zero pairs, smallest over the rows, and the
+    read starts at the last of them, its rows' leading zero pair.  A
+    subsample scan's candidates span only its rows' ranges, which keeps
+    its reads inside the masked read.
     """
-    S, ssr = _pass(pairs)
-    zero = S == 0.0
-    return np.where(zero[:, -1], S.shape[-1], zero.argmin(axis=-1)), ssr
-
-
-def _tile_scans(pairs: np.ndarray, trimming: TrimmingPolicy) -> tuple:
-    """The collapse scan and the subsample scans of a tile's (5, rows, T) pairs.
-
-    Two ``_pass`` calls serve all three scans, each on the rows read
-    forward stacked over the rows read backward.  The first reads the full
-    sample.  The second reads it masked: forward from each row's k_c + 1
-    for the recovery scan and backward from its k_c for the emergence
-    scan.  Returns the collapse scan and the subsample scan, whose rows
-    are the emergence scans of the tile's rows, then their recovery scans.
-    """
-    rows, T = pairs.shape[1:]
+    rows, T = values.shape
     margin, k_hi = trimming.margin(T), trimming.k_hi(T)
-    ks = np.arange(margin, k_hi + 1)
-    both = np.concatenate([pairs, pairs[..., ::-1]], axis=1)
-    del pairs  # freed before the passes allocate, which keeps a tile's peak memory down
-    z, ssr = _read(both)
-    lo, hi = np.full(rows, margin), np.full(rows, k_hi)
-    collapse = _scan((z[:rows], ssr[:rows]), (z[rows:], ssr[rows:]), ks, lo, hi)
+    pairs = _tile_pairs(values, y0)
+    ssr, z = _pass(pairs)[1:]  # S is dropped here rather than outliving the pass
+    ahead, back = (0, z[:rows], ssr[:rows]), (0, z[rows:], ssr[rows:])
+    collapse = _scan(ahead, back, margin, k_hi, np.full(rows, margin), np.full(rows, k_hi))
     k_c = collapse.k_hat
-    # zero the times outside each subsample: times up to k_c lead the
-    # forward read of row i, times after k_c the backward read
-    leads = k_c.tolist()
-    for row, lead in enumerate(leads + [T - k for k in leads]):
-        both[:, row, :lead] = 0.0
-    z_sub, ssr_sub = _read(both)
-    # the emergence scan pairs the full forward read with the masked
-    # backward one, the recovery scan the masked forward read with the full
-    # backward one
-    subsample = _scan(
-        (np.concatenate([z[:rows], z_sub[:rows]]), np.concatenate([ssr[:rows], ssr_sub[:rows]])),
-        (np.concatenate([z_sub[rows:], z[rows:]]), np.concatenate([ssr_sub[rows:], ssr[rows:]])),
-        ks, np.concatenate([lo, k_c + margin + 1]), np.concatenate([k_c - margin, hi]),
-    )
-    return collapse, subsample
+    # zero the times up to k_c in the forward read of row i, those after
+    # k_c in its backward read
+    lead = np.concatenate([k_c, T - k_c])
+    skip = int(lead.min())
+    masked = pairs[..., skip:].copy()
+    del pairs  # freed before the pass allocates, which keeps a tile's peak memory down
+    np.copyto(masked, 0.0, where=np.arange(skip, T + 1) <= lead[:, np.newaxis])
+    ssr, z = _pass(masked)[1:]
+    del masked
+    z += skip
+    emergence = _scan(ahead, (skip, z[rows:], ssr[rows:]), margin, max(margin, int(k_c.max()) - margin),
+                      collapse.lo, k_c - margin)
+    recovery = _scan((skip, z[:rows], ssr[:rows]), back, min(k_hi, int(k_c.min()) + margin + 1), k_hi,
+                     k_c + margin + 1, collapse.hi)
+    return collapse, emergence, recovery
 
 
 def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) -> TileEstimates:
@@ -359,32 +376,30 @@ def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) 
     if failed.any():
         values = np.where(failed[:, np.newaxis], 0.0, values)
         y0 = None if y0 is None else np.where(failed, 0.0, y0)
-    collapse, subsample = _tile_scans(_pairs(values, y0), trimming)
+    collapse, emergence, recovery = _tile_scans(values, y0, trimming)
     failed |= ~collapse.found
     gone = failed.tolist()
-    tile_rows, later_rows = slice(0, rows), slice(rows, None)  # the subsample scan's emergence, recovery rows
 
-    def dates(scan, part):
+    def dates(scan):
         """A scan's date and segment SSRs for each row, None where unavailable."""
-        found = (scan.found[part] & ~failed).tolist()
-        segments = zip(scan.left_ssr[part].tolist(), scan.right_ssr[part].tolist())
-        return ([k if f else None for k, f in zip(scan.k_hat[part].tolist(), found)],
+        found = (scan.found & ~failed).tolist()
+        segments = zip(scan.left_ssr.tolist(), scan.right_ssr.tolist())
+        return ([k if f else None for k, f in zip(scan.k_hat.tolist(), found)],
                 [s if f else None for s, f in zip(segments, found)])
 
-    def reasons(part):
-        found, empty = subsample.found[part].tolist(), (subsample.lo[part] > subsample.hi[part]).tolist()
+    def reasons(scan):
+        found, empty = scan.found.tolist(), (scan.lo > scan.hi).tolist()
         return [None if f or g else UnavailableReason.BOUNDARY_VIOLATION if x else UnavailableReason.DEGENERATE
                 for f, g, x in zip(found, gone, empty)]
 
-    (k_c, seg_c), (k_e, seg_e), (k_r, seg_r) = (
-        dates(collapse, tile_rows), dates(subsample, tile_rows), dates(subsample, later_rows))
+    (k_c, seg_c), (k_e, seg_e), (k_r, seg_r) = dates(collapse), dates(emergence), dates(recovery)
     return TileEstimates(
         n_obs=n_obs,
         k_c_hat=k_c,
         k_e_hat=k_e,
         k_r_hat=k_r,
-        unavailable_reason_e=reasons(tile_rows),
-        unavailable_reason_r=reasons(later_rows),
+        unavailable_reason_e=reasons(emergence),
+        unavailable_reason_r=reasons(recovery),
         segment_ssr_c=seg_c,
         segment_ssr_e=seg_e,
         segment_ssr_r=seg_r,
@@ -435,11 +450,10 @@ def estimate_dates(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) 
     T = series.T
     if T < MIN_ESTIMATION_LENGTH:
         raise SeriesValidationError([TooShort(T)])
-    pairs = build_prefix_moments(series).pairs[:, np.newaxis]
-    collapse, subsample = _tile_scans(pairs, trimming)
+    collapse, emergence, recovery = _tile_scans(series.values[np.newaxis], series.y0, trimming)
     scan_c = _row_scan(collapse, 0)
-    scan_e, range_e, reason_e = _subsample_scan(subsample, 0)
-    scan_r, range_r, reason_r = _subsample_scan(subsample, 1)
+    scan_e, range_e, reason_e = _subsample_scan(emergence, 0)
+    scan_r, range_r, reason_r = _subsample_scan(recovery, 0)
     return BreakEstimates(
         k_c_hat=scan_c.k_hat,
         k_e_hat=scan_e and scan_e.k_hat,

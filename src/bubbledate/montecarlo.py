@@ -159,13 +159,15 @@ class ExperimentResult:
 
 
 # Rows dated together by one ``estimate_tile`` call.  A tile's passes read
-# its rows forward and backward at once, so an 8-row tile of T = 800 works
-# on (16, 800) arrays.  On a 2-vCPU Xeon with 4 MB of L2 cache, the serial
-# volshift-up preset at 64 replications ran fastest at 8 rows among 8, 16,
-# 32 and 64, with the fewest page faults (about 1 per row; 10 to 16 at 32
-# and 64 rows, whose tiles the allocator returns to the system and faults
-# back in).  Peak memory grows with the tile.
-TILE_ROWS = 8
+# its rows forward and backward at once, so a 16-row tile of T = 800 works
+# on (32, 801) arrays; its tracemalloc peak is 1.28 MB (0.64 MB at 8 rows,
+# 2.57 MB at 32).  On a 2-vCPU Xeon with 2 MB of L2 cache per core, the
+# volshift-up preset at 64 replications with BIC took 0.85-0.94 (serial)
+# and 0.89-0.98 (two workers) of its 8-row time at 16 rows.  24 and 32
+# rows ran as fast as 16 within the host's spread, with 2.5 and 7 times
+# the page faults: the allocator returns their larger arrays to the
+# system and faults them back in.  Peak memory grows with the tile.
+TILE_ROWS = 16
 
 _ESTIMATE_FIELD = {
     Target.COLLAPSE: "k_c_hat",

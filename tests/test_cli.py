@@ -112,13 +112,13 @@ class TestEstimateCommand:
         import bubbledate.estimator as estimator
 
         calls = []
-        build = estimator.build_prefix_moments
+        scans = estimator._tile_scans
 
-        def counting_build(series):
-            calls.append(series.T)
-            return build(series)
+        def counting_scans(values, y0, trimming):
+            calls.append(values.shape[1])
+            return scans(values, y0, trimming)
 
-        monkeypatch.setattr(estimator, "build_prefix_moments", counting_build)
+        monkeypatch.setattr(estimator, "_tile_scans", counting_scans)
         path = tmp_path / "tent.csv"
         write_value_csv(path, three_phase_tent())
         assert main(["estimate", str(path), "--bic"]) == 0

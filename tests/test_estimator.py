@@ -39,7 +39,7 @@ from bubbledate import (
     simulate,
     ssr_split,
 )
-from bubbledate.estimator import RESID_FLOOR_REL, _pass, _read, _row_scan, _scan
+from bubbledate.estimator import RESID_FLOOR_REL, _pass, _row_scan, _scan
 from bubbledate.rng import stream
 from bubbledate.types import MIN_ESTIMATION_LENGTH
 
@@ -76,12 +76,17 @@ def window_scan(moments, seg_start, seg_end, k_lo, k_hi):
     """``_scan`` over [seg_start, seg_end] of a one-row tile, as its row's ``BreakScan``.
 
     Masks confine the reads to the window: the forward read zeroes the
-    times before seg_start, the backward read those after seg_end.
+    times before seg_start, the backward read those after seg_end.  Each
+    read leads with a zero pair, as ``_scan`` takes it.
     """
-    pairs = moments.pairs[:, np.newaxis]
     times = np.arange(1, moments.T + 1)
-    reads = _read(pairs * (times >= seg_start)), _read((pairs * (times <= seg_end))[..., ::-1])
-    return _row_scan(_scan(*reads, np.arange(k_lo, k_hi + 1), np.array([k_lo]), np.array([k_hi])), 0)
+    lag_value = moments.pairs[:2]
+    pairs = np.zeros((2, 2, moments.T + 1))
+    pairs[:, 0, 1:] = lag_value * (times >= seg_start)
+    pairs[:, 1, 1:] = (lag_value * (times <= seg_end))[:, ::-1]
+    _, ssr, zeros = _pass(pairs)
+    reads = (0, zeros[:1], ssr[:1]), (0, zeros[1:], ssr[1:])
+    return _row_scan(_scan(*reads, k_lo, k_hi, np.array([k_lo]), np.array([k_hi])), 0)
 
 
 class TestPrefixMoments:
@@ -513,32 +518,94 @@ def tile_record(tile):
     return record + [tile.chosen_indices()]
 
 
+def assert_rows_match_one_row_calls(values, y0):
+    """Date ``values`` as one tile and check each row against its one-row
+    ``bic_select``, bit for bit.  Returns the number of rows on which the
+    one-row call raises; the tile fails exactly those rows.
+    """
+    tile = estimate_tile(values, y0)
+    chosen = tile.chosen_indices()
+    failed = 0
+    for i, row in enumerate(values):
+        try:
+            report = bic_select(Series(row, y0=None if y0 is None else float(y0[i])))
+        except BubbleDateError:
+            failed += 1
+            assert [r[i] for r in tile_record(tile)] == [None] * 9, i
+            continue
+        est = report.estimates
+        assert (tile.k_e_hat[i], tile.k_c_hat[i], tile.k_r_hat[i]) == (est.k_e_hat, est.k_c_hat, est.k_r_hat), i
+        assert (tile.unavailable_reason_e[i], tile.unavailable_reason_r[i]) == (
+            est.unavailable_reason_e, est.unavailable_reason_r), i
+        for x in "cer":
+            got, want = getattr(tile, f"segment_ssr_{x}")[i], getattr(est, f"segment_ssr_{x}")
+            assert (got is None and want is None) or [v.hex() for v in got] == [v.hex() for v in want], (i, x)
+        assert list(ModelChoice)[chosen[i]] is report.chosen, i
+    return failed
+
+
 class TestEstimateTile:
     @pytest.mark.parametrize("presample", [True, False])
     def test_rows_match_their_one_row_bic_select(self, presample):
         values, y0 = contract_tile()
         tile = estimate_tile(values, y0 if presample else None)
-        chosen = tile.chosen_indices()
-        failed = 0
-        for i, row in enumerate(values):
-            try:
-                report = bic_select(Series(row, y0=float(y0[i]) if presample else None))
-            except BubbleDateError:
-                failed += 1
-                assert [r[i] for r in tile_record(tile)] == [None] * 9, i
-                continue
-            est = report.estimates
-            assert (tile.k_e_hat[i], tile.k_c_hat[i], tile.k_r_hat[i]) == (est.k_e_hat, est.k_c_hat, est.k_r_hat)
-            assert (tile.unavailable_reason_e[i], tile.unavailable_reason_r[i]) == (
-                est.unavailable_reason_e, est.unavailable_reason_r)
-            for x in "cer":
-                got, want = getattr(tile, f"segment_ssr_{x}")[i], getattr(est, f"segment_ssr_{x}")
-                assert (got is None and want is None) or [v.hex() for v in got] == [v.hex() for v in want]
-            assert list(ModelChoice)[chosen[i]] is report.chosen
-        assert failed == 2  # the NaN row and the all-zero row
+        assert assert_rows_match_one_row_calls(values, y0 if presample else None) == 2  # the NaN and all-zero rows
         assert tile.unavailable_reason_e[13] is UnavailableReason.BOUNDARY_VIOLATION
         assert tile.unavailable_reason_r[14] is UnavailableReason.DEGENERATE
         assert tile.n_obs == (40 if presample else 39)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("presample", [True, False])
+    def test_extreme_rows_do_not_reach_their_neighbours(self, presample):
+        # a tile's passes run over its rows end to end, so a row's last
+        # pair precedes the next row's first; rows at the edges of float64
+        # range must neither raise a floating-point warning there nor
+        # change a neighbour's dates or SSR bits
+        rng = stream(808)
+
+        def walk():
+            return rng.normal(size=800).cumsum()
+
+        explosive = simulate(explosive_config(800, 1.05), IidGaussian(1.0), 3).values
+        constant = np.full(800, 2.5)
+        broken = walk()
+        broken[400] = np.nan
+        values = np.array([walk(), 1e-160 * walk(), explosive, 1e150 * walk(), walk(), np.zeros(800),
+                           explosive, constant, 1e150 * walk(), broken, 1e-160 * walk(), walk()])
+        y0 = np.zeros(len(values)) if presample else None
+        if presample:
+            y0[7] = 2.5
+        assert assert_rows_match_one_row_calls(values, y0) == 2  # the all-zero and NaN rows
+
+    def test_rows_with_spread_collapse_dates_match(self):
+        # collapse dates from the lower trimming edge to the upper one, so
+        # the masked read skips only the zero columns that lead every row
+        T, trimming = 200, TrimmingPolicy()
+        margin, k_hi = trimming.margin(T), trimming.k_hi(T)
+        rng = stream(909)
+        peaks = (margin + 2, 30, 60, 100, 140, 170, k_hi - 2, margin + 5)
+        values = np.array([growth_decay_tent(T, k, 1.03, 0.97) * np.exp(0.002 * rng.normal(size=T))
+                           for k in peaks])
+        k_c = estimate_tile(values, np.ones(len(peaks))).k_c_hat
+        assert min(k_c) <= margin + 5 and max(k_c) >= k_hi - 5
+        assert assert_rows_match_one_row_calls(values, np.ones(len(peaks))) == 0
+
+    def test_masked_read_skips_the_leading_zero_columns(self, monkeypatch):
+        import bubbledate.estimator as estimator
+
+        widths = []
+        kernel = estimator._pass
+
+        def recording_pass(pairs):
+            widths.append(pairs.shape[-1])
+            return kernel(pairs)
+
+        monkeypatch.setattr(estimator, "_pass", recording_pass)
+        paths = [simulate(explosive_config(800, 1.09), IidGaussian(1.0), seed) for seed in range(16)]
+        estimate_tile(np.array([p.values for p in paths]), np.array([p.y0 for p in paths]))
+        assert len(widths) == 2
+        assert widths[0] == 801  # the full read: a zero pair, then T pairs
+        assert widths[1] < 800  # the masked read
 
     def test_split_tiles_agree(self):
         values, y0 = contract_tile()
