@@ -30,11 +30,9 @@ from .estimator import (
     DegenerateSegmentError,
     EmptyRangeError,
     ModelChoice,
-    PrefixMoments,
     SegmentFit,
     TileEstimates,
     bic_select,
-    build_prefix_moments,
     estimate_dates,
     estimate_tile,
     fit_segment,

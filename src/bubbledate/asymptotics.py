@@ -44,8 +44,9 @@ __all__ = [
     "emergence_limit_draws",
 ]
 
-# Draws whose normalizing level is this close to zero are discarded and
-# redrawn; the objective divides by the level.
+# Draws whose level, B~(0) for recovery or the standard normal g of the
+# emergence level sqrt(tau_e) * g, is this close to zero are redrawn: the
+# objectives divide by the level, and W / level stays finite for any tau_e.
 REJECTION_THRESHOLD = 1e-8
 
 
@@ -270,17 +271,17 @@ def _emergence_objective(w_left: np.ndarray, w_right: np.ndarray, level: float, 
 
 
 def _one_emergence_draw(tau_e: float, disc: Discretization, rng) -> Optional[tuple]:
-    """One attempt: the emergence objective, or None if the level is too small."""
+    """One attempt: the emergence objective, or None if the level's normal factor is too small."""
     n = disc.n_grid()
     sqrt_step = math.sqrt(disc.step)
     w_left = np.cumsum(rng.standard_normal(n) * sqrt_step)
     w_right = np.cumsum(rng.standard_normal(n) * sqrt_step)
     # the normalizing level W_1(tau_e) is asymptotically independent of
     # the local window around the break, so it is drawn independently
-    level = math.sqrt(tau_e) * rng.standard_normal()
-    if abs(level) < REJECTION_THRESHOLD:
+    g = rng.standard_normal()
+    if abs(g) < REJECTION_THRESHOLD:
         return None
-    return _emergence_objective(w_left, w_right, level, disc.step)
+    return _emergence_objective(w_left, w_right, math.sqrt(tau_e) * g, disc.step)
 
 
 def emergence_limit_draws(

@@ -234,6 +234,7 @@ def cmd_limitdist(args) -> int:
         "mean": float(values.mean()),
         "std": float(values.std(ddof=1)) if values.shape[0] > 1 else None,
         "quantiles": {"q10": q[0], "q25": q[1], "q50": q[2], "q75": q[3], "q90": q[4]},
+        "window_edge_share": float(np.mean(np.abs(values) >= 0.9 * disc.v_max)),
     }
     if args.law == "recovery":
         summary["c_b"] = args.cb

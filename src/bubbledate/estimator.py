@@ -41,14 +41,12 @@ from .types import (
 )
 
 __all__ = [
-    "PrefixMoments",
     "SegmentFit",
     "ModelChoice",
     "BicReport",
     "TileEstimates",
     "DegenerateSegmentError",
     "EmptyRangeError",
-    "build_prefix_moments",
     "fit_segment",
     "ssr_split",
     "estimate_tile",
@@ -72,22 +70,6 @@ class DegenerateSegmentError(BubbleDateError):
 
 class EmptyRangeError(BubbleDateError):
     """A break scan was asked to search an empty candidate range."""
-
-
-@dataclass(frozen=True)
-class PrefixMoments:
-    """Regression pairs of a series; ``_pass`` reads their lags and values.
-
-    Column t-1 of ``pairs`` holds, for regression time t, the lag y_{t-1},
-    the value y_t, y_{t-1}^2, y_{t-1} y_t and the rounding floor
-    RESID_FLOOR_REL * y_t^2 (rows 0 to 4).  Regression times start at
-    ``t_start`` (1 when a presample value y_0 is available, 2 otherwise);
-    earlier columns are zero, so they add exact zeros to every pass.
-    """
-
-    pairs: np.ndarray = field(repr=False)
-    T: int
-    t_start: int
 
 
 @dataclass(frozen=True)
@@ -187,8 +169,8 @@ def _tile_pairs(values: np.ndarray, y0) -> np.ndarray:
     """(2, 2 rows, T + 1) lags and values of a (rows, T) tile, laid out for ``_pass``.
 
     Row i reads series i forward and row rows + i reads it backward: a
-    zero pair, then the lags and values of the series' T regression times
-    (rows 0 and 1 of ``PrefixMoments.pairs``) in reading order.
+    zero pair, then the lag y_{t-1} and value y_t of each regression time
+    t = 1..T in reading order.
     """
     rows, T = values.shape
     pairs = np.empty((2, 2 * rows, T + 1))
@@ -202,23 +184,15 @@ def _tile_pairs(values: np.ndarray, y0) -> np.ndarray:
     return pairs
 
 
-def build_prefix_moments(series: Series) -> PrefixMoments:
-    """O(T) pass producing the regression pairs behind every scan."""
-    lag, value = _tile_pairs(series.values[np.newaxis], series.y0)[:, 0, 1:]
-    pairs = np.stack([lag, value, lag * lag, lag * value, value * value * RESID_FLOOR_REL])
-    return PrefixMoments(pairs=pairs, T=series.T, t_start=1 if series.y0 is not None else 2)
-
-
 def _pass(pairs: np.ndarray) -> tuple:
     """Lag sums of squares S_i and SSR_i of the fits on the first i pairs,
     and each row's count of zero S_i.
 
-    ``pairs`` starts with the lag and value rows of ``PrefixMoments.pairs``
-    (further rows are not read), each a window of one series or a
-    (rows, W) tile, reversed along the last axis for a backward read; the
-    pass runs along that axis and forms x_i^2, x_i y_i and the rounding
-    floor itself.  With phi_i = C_i / S_i, the recursive-residual identity
-    of Brown, Durbin & Evans (1975),
+    ``pairs`` holds the lag and value rows of ``_tile_pairs``, each a
+    window of one series or a (rows, W) tile, reversed along the last axis
+    for a backward read; the pass runs along that axis and forms x_i^2,
+    x_i y_i and the rounding floor itself.  With phi_i = C_i / S_i, the
+    recursive-residual identity of Brown, Durbin & Evans (1975),
     SSR_i = SSR_{i-1} + (y_i - phi_{i-1} x_i)^2 S_{i-1} / S_i, adds terms
     >= 0 and differences no sum.  This gain form is required: the equal
     (y_i - phi_{i-1} x_i)(y_i - phi_i x_i) cancels where S_{i-1} / S_i is
@@ -237,7 +211,7 @@ def _pass(pairs: np.ndarray) -> tuple:
     and its S = 0 gives the row's first data pair the first pair's rule.
     """
     shape = pairs.shape[1:]
-    x, y = pairs[:2].reshape(2, -1)
+    x, y = pairs.reshape(2, -1)
     S, C = np.multiply(x, x), np.multiply(x, y)
     for total in (S, C):
         np.add.accumulate(total.reshape(shape), axis=-1, out=total.reshape(shape))
@@ -264,23 +238,24 @@ def _pass(pairs: np.ndarray) -> tuple:
     return S.reshape(shape), np.add.accumulate(ssr, axis=-1, out=ssr), zeros
 
 
-def fit_segment(moments: PrefixMoments, start: int, end: int) -> SegmentFit:
+def fit_segment(series: Series, start: int, end: int) -> SegmentFit:
     """Fit y_t = phi * y_{t-1} on regression times start..end (inclusive)."""
-    if not (1 <= start <= end <= moments.T):
-        raise EmptyRangeError(f"segment [{start}, {end}] outside 1..{moments.T}")
-    window = moments.pairs[:, start - 1:end]
+    if not (1 <= start <= end <= series.T):
+        raise EmptyRangeError(f"segment [{start}, {end}] outside 1..{series.T}")
+    window = _tile_pairs(series.values[np.newaxis], series.y0)[:, 0, start:end + 1]
     S, ssr, _ = _pass(window)
     if S[-1] == 0.0:
         raise DegenerateSegmentError(f"segment [{start}, {end}] has zero lagged sum of squares")
-    n_obs = end - max(start, moments.t_start) + 1
-    return SegmentFit(phi_hat=float(window[3].sum() / S[-1]), ssr=float(ssr[-1]), n_obs=n_obs)
+    n_obs = end - start + 1 - (start == 1 and series.y0 is None)
+    lag, value = window
+    return SegmentFit(phi_hat=float((lag * value).sum() / S[-1]), ssr=float(ssr[-1]), n_obs=n_obs)
 
 
-def ssr_split(moments: PrefixMoments, k: int) -> float:
+def ssr_split(series: Series, k: int) -> float:
     """Total SSR of the two-segment fit splitting the full sample at k."""
-    if not (1 <= k < moments.T):
-        raise EmptyRangeError(f"split k={k} leaves an empty segment for T={moments.T}")
-    return fit_segment(moments, 1, k).ssr + fit_segment(moments, k + 1, moments.T).ssr
+    if not (1 <= k < series.T):
+        raise EmptyRangeError(f"split k={k} leaves an empty segment for T={series.T}")
+    return fit_segment(series, 1, k).ssr + fit_segment(series, k + 1, series.T).ssr
 
 
 def _scan(forward, backward, a: int, b: int, lo: np.ndarray, hi: np.ndarray) -> TileScan:
@@ -363,15 +338,19 @@ def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) 
     one-row ``estimate_dates`` call, and a row on which that call raises
     (a non-finite value or y0, T below MIN_ESTIMATION_LENGTH, no
     admissible collapse candidate) fails without affecting the others.
+    Input that is not 2-d raises ``SeriesValidationError``; a tile without
+    rows gives empty lists.
     """
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise SeriesValidationError([f"expected a 2-d (rows, T) tile, got shape {values.shape}"])
     rows, T = values.shape
     failed = ~np.isfinite(values).all(axis=1)
     if y0 is not None:
         y0 = np.broadcast_to(np.asarray(y0, dtype=np.float64), (rows,))
         failed |= ~np.isfinite(y0)
     n_obs = T if y0 is not None else T - 1
-    if T < MIN_ESTIMATION_LENGTH:
+    if T < MIN_ESTIMATION_LENGTH or rows == 0:
         return TileEstimates(n_obs, *([None] * rows for _ in range(8)))
     if failed.any():
         values = np.where(failed[:, np.newaxis], 0.0, values)

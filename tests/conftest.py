@@ -2,9 +2,9 @@
 
 Every helper here recomputes its target quantity by the most direct route
 available (explicit residual sums, plain-python recursions, exhaustive
-scans) so the library's prefix-moment and vectorized paths are checked
-against independent arithmetic.  Expensive samples that several modules
-read are drawn once per session by the fixtures at the end.
+scans) so the library's recursive-residual passes and vectorized scans are
+checked against independent arithmetic.  Expensive samples that several
+modules read are drawn once per session by the fixtures at the end.
 """
 from __future__ import annotations
 

@@ -375,3 +375,10 @@ class TestEmergenceLaw:
         base, _ = emergence_draws
         assert base.values.shape == (N_DRAWS,)
         assert base.rejections >= 0
+
+    def test_tiny_emergence_fraction_gives_finite_draws(self):
+        # rejection acts on the level's standard normal factor, not on the
+        # level itself, so a tiny tau_e neither loops nor overflows
+        sample = emergence_limit_draws(1e-300, draws=5)
+        assert np.all(np.isfinite(sample.values))
+        assert sample.rejections == 0

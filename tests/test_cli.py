@@ -418,6 +418,15 @@ class TestLimitdistCommand:
         assert summary["tau_e"] == 0.3
         assert os.path.exists(prefix + "_draws.csv")
 
+    def test_window_edge_share(self, tmp_path, capsys):
+        # a window of one unit cuts the emergence law short, so argmaxes pile up at its edges
+        assert main(["limitdist", "emergence", "--vmax", "1", "--step", "0.01", "--draws", "50",
+                     "--seed", "1", "--out", str(tmp_path / "narrow")]) == 0
+        assert json.loads(capsys.readouterr().out)["window_edge_share"] > 0.0
+        for law in ("recovery", "emergence"):
+            assert main(["limitdist", law, "--draws", "20", "--seed", "1", "--out", str(tmp_path / law)]) == 0
+            assert 0.0 <= json.loads(capsys.readouterr().out)["window_edge_share"] <= 1.0
+
     def test_correction_reports_penalty_adjustment(self, tmp_path, capsys):
         prefix = str(tmp_path / "corr")
         assert main(["limitdist", "recovery", "--psi", "1,0.5", "--draws", "5",

@@ -1,4 +1,4 @@
-"""Break-date estimation: prefix moments, scans, sequential steps, BIC."""
+"""Break-date estimation: regression pairs, segment fits, scans, sequential steps, BIC."""
 from __future__ import annotations
 
 import dataclasses
@@ -32,14 +32,13 @@ from bubbledate import (
     UnavailableReason,
     VolatilityScaled,
     bic_select,
-    build_prefix_moments,
     estimate_dates,
     estimate_tile,
     fit_segment,
     simulate,
     ssr_split,
 )
-from bubbledate.estimator import RESID_FLOOR_REL, _pass, _row_scan, _scan
+from bubbledate.estimator import _pass, _row_scan, _scan, _tile_pairs
 from bubbledate.rng import stream
 from bubbledate.types import MIN_ESTIMATION_LENGTH
 
@@ -72,66 +71,63 @@ def growth_then_zeros():
     return values
 
 
-def window_scan(moments, seg_start, seg_end, k_lo, k_hi):
+def window_scan(series, seg_start, seg_end, k_lo, k_hi):
     """``_scan`` over [seg_start, seg_end] of a one-row tile, as its row's ``BreakScan``.
 
     Masks confine the reads to the window: the forward read zeroes the
     times before seg_start, the backward read those after seg_end.  Each
     read leads with a zero pair, as ``_scan`` takes it.
     """
-    times = np.arange(1, moments.T + 1)
-    lag_value = moments.pairs[:2]
-    pairs = np.zeros((2, 2, moments.T + 1))
-    pairs[:, 0, 1:] = lag_value * (times >= seg_start)
-    pairs[:, 1, 1:] = (lag_value * (times <= seg_end))[:, ::-1]
+    pairs = _tile_pairs(series.values[np.newaxis], series.y0)
+    pairs[:, 0, 1:seg_start] = 0.0
+    pairs[:, 1, 1:series.T + 1 - seg_end] = 0.0
     _, ssr, zeros = _pass(pairs)
     reads = (0, zeros[:1], ssr[:1]), (0, zeros[1:], ssr[1:])
     return _row_scan(_scan(*reads, k_lo, k_hi, np.array([k_lo]), np.array([k_hi])), 0)
 
 
-class TestPrefixMoments:
+class TestTilePairs:
     def test_hand_values_without_presample(self):
-        m = build_prefix_moments(Series(np.array([1.0, 2.0, 4.0, 8.0])))
-        assert m.t_start == 2
-        assert m.pairs[:, 0].tolist() == [0.0] * 5
-        assert m.pairs[0].tolist() == [0.0, 1.0, 2.0, 4.0]
-        assert m.pairs[1].tolist() == [0.0, 2.0, 4.0, 8.0]
-        assert np.add.accumulate(m.pairs[3]).tolist() == [0.0, 2.0, 10.0, 42.0]
-        assert np.add.accumulate(m.pairs[2]).tolist() == [0.0, 1.0, 5.0, 21.0]
-        assert m.pairs[4].tolist() == [RESID_FLOOR_REL * v for v in (0.0, 4.0, 16.0, 64.0)]
+        values = np.array([1.0, 2.0, 4.0, 8.0])
+        assert fit_segment(Series(values), 1, 4).n_obs == 3  # t = 1 is not a regression time without y_0
+        pairs = _tile_pairs(values[np.newaxis], None)
+        assert pairs[:, :, 0].tolist() == [[0.0, 0.0], [0.0, 0.0]]  # each row leads with a zero pair
+        assert pairs[0, 0].tolist() == [0.0, 0.0, 1.0, 2.0, 4.0]
+        assert pairs[1, 0].tolist() == [0.0, 0.0, 2.0, 4.0, 8.0]
+        assert pairs[0, 1].tolist() == [0.0, 4.0, 2.0, 1.0, 0.0]
+        assert pairs[1, 1].tolist() == [0.0, 8.0, 4.0, 2.0, 0.0]
 
     def test_hand_values_with_presample(self):
-        m = build_prefix_moments(Series(np.array([2.0, 4.0, 8.0]), y0=1.0))
-        assert m.t_start == 1
-        assert m.pairs[0].tolist() == [1.0, 2.0, 4.0]
-        assert m.pairs[1].tolist() == [2.0, 4.0, 8.0]
-        assert np.add.accumulate(m.pairs[3]).tolist() == [2.0, 10.0, 42.0]
-        assert np.add.accumulate(m.pairs[2]).tolist() == [1.0, 5.0, 21.0]
-        assert m.pairs[4].tolist() == [RESID_FLOOR_REL * v for v in (4.0, 16.0, 64.0)]
+        values = np.array([2.0, 4.0, 8.0])
+        assert fit_segment(Series(values, y0=1.0), 1, 3).n_obs == 3
+        pairs = _tile_pairs(values[np.newaxis], 1.0)
+        assert pairs[0, 0].tolist() == [0.0, 1.0, 2.0, 4.0]
+        assert pairs[1, 0].tolist() == [0.0, 2.0, 4.0, 8.0]
+        assert pairs[0, 1].tolist() == [0.0, 4.0, 2.0, 1.0]
+        assert pairs[1, 1].tolist() == [0.0, 8.0, 4.0, 2.0]
 
     def test_array_lengths(self):
-        m = build_prefix_moments(Series(stream(1).normal(size=17)))
-        assert m.pairs.shape == (5, 17)
+        assert _tile_pairs(stream(1).normal(size=(3, 17)), None).shape == (2, 6, 18)
 
 
 class TestFitSegment:
     def test_pure_doubling(self):
-        m = build_prefix_moments(Series(np.array([1.0, 2.0, 4.0, 8.0, 16.0])))
-        fit = fit_segment(m, 1, 5)
+        s = Series(np.array([1.0, 2.0, 4.0, 8.0, 16.0]))
+        fit = fit_segment(s, 1, 5)
         assert fit.phi_hat == 2.0
         assert fit.ssr == 0.0
         assert fit.n_obs == 4
 
     def test_constant_with_presample(self):
-        m = build_prefix_moments(Series(np.ones(4), y0=1.0))
-        fit = fit_segment(m, 1, 4)
+        s = Series(np.ones(4), y0=1.0)
+        fit = fit_segment(s, 1, 4)
         assert fit.phi_hat == 1.0
         assert fit.ssr == 0.0
         assert fit.n_obs == 4
 
     def test_alternating_hand_value(self):
-        m = build_prefix_moments(Series(np.array([1.0, 2.0, 1.0, 2.0])))
-        fit = fit_segment(m, 1, 4)
+        s = Series(np.array([1.0, 2.0, 1.0, 2.0]))
+        fit = fit_segment(s, 1, 4)
         assert fit.phi_hat == 1.0
         assert fit.ssr == 3.0
         assert fit.n_obs == 3
@@ -146,89 +142,110 @@ class TestFitSegment:
             yield s.values, s.y0
 
         for values, y0 in inputs():
-            m = build_prefix_moments(Series(values, y0=y0))
+            s = Series(values, y0=y0)
             T = len(values)
             for _ in range(25):
                 start = int(rng.integers(1, T - 5))
                 end = int(rng.integers(start + 2, T + 1))
-                fit = fit_segment(m, start, end)
+                fit = fit_segment(s, start, end)
                 phi, ssr = naive_segment_fit(values, y0, start, end)
                 assert fit.phi_hat == pytest.approx(phi, rel=1e-10)
                 assert fit.ssr == pytest.approx(ssr, rel=1e-8, abs=1e-10)
 
     def test_degenerate_segment_raises(self):
-        m = build_prefix_moments(Series(np.array([0.0, 0.0, 0.0, 5.0, 3.0])))
+        s = Series(np.array([0.0, 0.0, 0.0, 5.0, 3.0]))
         with pytest.raises(DegenerateSegmentError):
-            fit_segment(m, 2, 3)
+            fit_segment(s, 2, 3)
 
     def test_out_of_range_raises(self):
-        m = build_prefix_moments(Series(np.ones(5), y0=1.0))
+        s = Series(np.ones(5), y0=1.0)
         with pytest.raises(EmptyRangeError):
-            fit_segment(m, 0, 3)
+            fit_segment(s, 0, 3)
         with pytest.raises(EmptyRangeError):
-            fit_segment(m, 3, 6)
+            fit_segment(s, 3, 6)
         with pytest.raises(EmptyRangeError):
-            fit_segment(m, 4, 3)
+            fit_segment(s, 4, 3)
+
+
+def test_golden_segment_fits():
+    """phi_hat, SSR and n_obs bits of segment fits on a grid of windows are
+    pinned, as are the split SSRs at every k of one series."""
+    rng = stream(1616)
+    walk = rng.normal(size=120).cumsum()
+    h = hashlib.sha256()
+    for series in (Series(walk, y0=0.5), Series(walk), simulate(explosive_config(800, 1.09), IidGaussian(1.0), 0)):
+        T = series.T
+        for start in range(1, T + 1, max(1, T // 23)):
+            for end in sorted({*range(start, T + 1, max(1, T // 11)), T}):
+                try:
+                    fit = fit_segment(series, start, end)
+                except DegenerateSegmentError:
+                    h.update(repr(("degenerate", start, end)).encode())
+                    continue
+                h.update(repr((fit.phi_hat.hex(), fit.ssr.hex(), fit.n_obs)).encode())
+    series = Series(walk, y0=0.5)
+    h.update(repr([ssr_split(series, k).hex() for k in range(1, 120)]).encode())
+    assert h.hexdigest() == "fa31b8796e3e8c6811c32e68360af3712e2b85caec68def67fc96cffc87bb6d6"
 
 
 class TestSplitScan:
     def test_tent_split_is_exact_at_kink(self):
         values = growth_decay_tent(20, 10, 1.2, 0.8)
-        m = build_prefix_moments(Series(values, y0=1.0))
-        assert abs(ssr_split(m, 10)) < 1e-10
-        assert ssr_split(m, 9) > 1.0
-        assert ssr_split(m, 11) > 1.0
+        s = Series(values, y0=1.0)
+        assert abs(ssr_split(s, 10)) < 1e-10
+        assert ssr_split(s, 9) > 1.0
+        assert ssr_split(s, 11) > 1.0
 
     def test_split_matches_naive_everywhere(self):
         rng = stream(7)
         values = rng.normal(size=40).cumsum()
-        m = build_prefix_moments(Series(values, y0=0.5))
+        s = Series(values, y0=0.5)
         for k in range(1, 40):
-            assert ssr_split(m, k) == pytest.approx(
+            assert ssr_split(s, k) == pytest.approx(
                 naive_split_ssr(values, 0.5, k), rel=1e-9
             )
 
     def test_argmin_finds_kink(self):
         values = growth_decay_tent(20, 10, 1.2, 0.8)
-        m = build_prefix_moments(Series(values, y0=1.0))
-        scan = window_scan(m, 1, m.T, 2, 18)
+        s = Series(values, y0=1.0)
+        scan = window_scan(s, 1, s.T, 2, 18)
         assert scan.k_hat == 10
         assert scan.curve.shape == (17, 2)
         assert scan.skipped.size == 0
         assert scan.curve[:, 0].tolist() == list(range(2, 19))
 
     def test_exact_ties_resolve_to_smallest_date(self):
-        m = build_prefix_moments(Series(np.full(30, 2.0), y0=2.0))
-        assert window_scan(m, 1, m.T, 4, 26).k_hat == 4
+        s = Series(np.full(30, 2.0), y0=2.0)
+        assert window_scan(s, 1, s.T, 4, 26).k_hat == 4
 
     def test_degenerate_candidates_are_skipped(self):
         # left lags stay zero through t = 4 (the lag at t is values[t - 2]),
         # so splits before k = 5 cannot fit the first segment
         values = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
         assert naive_segment_fit(values, None, 1, 4) is None
-        m = build_prefix_moments(Series(values))
-        scan = window_scan(m, 1, m.T, 2, 6)
+        s = Series(values)
+        scan = window_scan(s, 1, s.T, 2, 6)
         assert scan.skipped.tolist() == [2, 3, 4]
         assert scan.curve[:, 0].tolist() == [5.0, 6.0]
 
     def test_all_candidates_degenerate_raises(self):
-        m = build_prefix_moments(Series(np.zeros(10)))
+        s = Series(np.zeros(10))
         with pytest.raises(DegenerateSegmentError):
-            window_scan(m, 1, m.T, 2, 8)
+            window_scan(s, 1, s.T, 2, 8)
 
     def test_empty_range_raises(self):
-        m = build_prefix_moments(Series(np.ones(10), y0=1.0))
+        s = Series(np.ones(10), y0=1.0)
         with pytest.raises(EmptyRangeError):
-            window_scan(m, 1, m.T, 6, 5)
+            window_scan(s, 1, s.T, 6, 5)
         with pytest.raises(EmptyRangeError):
-            window_scan(m, 1, m.T, 2, 10)
+            window_scan(s, 1, s.T, 2, 10)
 
     def test_matches_naive_scan_on_noisy_series(self):
         rng = stream(11)
         for y0 in (None, 0.3):
             values = 1.0 + 0.1 * rng.normal(size=50) + np.linspace(0, 2, 50)
-            m = build_prefix_moments(Series(values, y0=y0))
-            scan = window_scan(m, 1, m.T, 3, 47)
+            s = Series(values, y0=y0)
+            scan = window_scan(s, 1, s.T, 3, 47)
             assert scan.k_hat == naive_window_scan(values, y0, 1, 50, 3, 47)
 
 
@@ -387,9 +404,9 @@ def refit_bic(series, est):
     starting from 0.0.  Returns (bic, chosen, dates, n_obs) like
     ``BicReport``.
     """
-    moments = build_prefix_moments(series)
-    n = moments.T - (moments.t_start - 1)
-    T = moments.T
+    T = series.T
+    n = fit_segment(series, 1, T).n_obs
+    lag_value = _tile_pairs(series.values[np.newaxis], series.y0)[:, 0, 1:]
     k_e, k_c, k_r = est.k_e_hat, est.k_c_hat, est.k_r_hat
     dates = {
         ModelChoice.TWO_REGIME: (k_c,),
@@ -410,7 +427,7 @@ def refit_bic(series, est):
         bounds = [0, *dates[model], T]
         total = 0.0
         for lo, hi, ahead in zip(bounds[:-1], bounds[1:], forward[model]):
-            window = moments.pairs[:, lo:hi]
+            window = lag_value[:, lo:hi]
             total += float(_pass(window if ahead else window[:, ::-1])[1][-1])
         bic[model] = -math.inf if total <= 0.0 else n * math.log(total / n) + n_params * math.log(n)
     chosen = ModelChoice.TWO_REGIME
@@ -629,3 +646,15 @@ class TestEstimateTile:
         assert tile_record(short) == [[None] * 16] * 9
         with pytest.raises(SeriesValidationError):
             estimate_dates(Series(values[0, 1:], y0=0.0))
+
+    def test_input_that_is_not_a_tile_raises(self):
+        values, y0 = contract_tile()
+        for bad in (values[0], values[np.newaxis], 1.0):
+            with pytest.raises(SeriesValidationError):
+                estimate_tile(bad)
+
+    def test_tile_without_rows_gives_empty_lists(self):
+        for y0 in (None, np.zeros(0)):
+            tile = estimate_tile(np.zeros((0, 80)), y0)
+            assert tile_record(tile) == [[]] * 9
+            assert tile.n_obs == (79 if y0 is None else 80)
