@@ -9,16 +9,19 @@ recovery to a unit root.
 
 Series of one length are dated together as a tile, a (rows, T) matrix,
 by ``estimate_tile``; ``estimate_dates`` and ``bic_select`` date one
-series as a one-row tile.  Every scan reads recursive-residual passes,
-each an O(T) read along the time axis that gives every prefix's SSR: a
-forward and a backward read of the full sample for the collapse scan, and
-one masked read for each subsample scan.  A row's subsample window
-depends on its own collapse estimate, so a masked pass zeroes each row's
-columns outside its window.  A zeroed pair adds exact zeros, so the
-masked pass over the tile equals, bit for bit, a pass over each row's
-window, and it skips the zero columns that lead every row.  Each row of
-a pass starts with a zero pair, so the pass steps along the rows in
-contiguous memory.
+series as a one-row tile.  Both paths read their dates, unavailable
+reasons and segment SSRs off the scans through one reader,
+``_read_scans``; the one-row path adds the ranges and SSR curves.
+
+Every scan reads recursive-residual passes, each an O(T) read along the
+time axis that gives every prefix's SSR: a forward and a backward read of
+the full sample for the collapse scan, and one masked read for each
+subsample scan.  A row's subsample window depends on its own collapse
+estimate, so a masked pass zeroes each row's columns outside its window.
+A zeroed pair adds exact zeros, so the masked pass over the tile equals,
+bit for bit, a pass over each row's window, and it skips the zero columns
+that lead every row.  Each row of a pass starts with a zero pair, so the
+pass steps along the rows in contiguous memory.
 """
 from __future__ import annotations
 
@@ -79,16 +82,6 @@ class SegmentFit:
     phi_hat: float
     ssr: float
     n_obs: int
-
-
-@dataclass(frozen=True)
-class BreakScan:
-    """One row of a scan: the minimizer, the curve, skipped candidates."""
-
-    k_hat: int
-    curve: np.ndarray = field(repr=False)  # rows (k, SSR) for every evaluated candidate
-    skipped: np.ndarray = field(repr=False)  # candidates dropped as degenerate
-    segment_ssr: tuple  # SSRs of the two segments split at k_hat
 
 
 class TileScan(NamedTuple):
@@ -300,10 +293,11 @@ def _tile_scans(values: np.ndarray, y0, trimming: TrimmingPolicy) -> tuple:
     first reads the full sample.  The second reads it masked: forward from
     each row's k_c + 1 for the recovery scan and backward from its k_c for
     the emergence scan.  Every row of the masked read then leads with at
-    least min(k_c, T - k_c) zero pairs, smallest over the rows, and the
-    read starts at the last of them, its rows' leading zero pair.  A
-    subsample scan's candidates span only its rows' ranges, which keeps
-    its reads inside the masked read.
+    least min(k_c, T - k_c) zero pairs, smallest over the rows with a
+    collapse date, and the read starts at the last of them, its rows'
+    leading zero pair.  A subsample scan's candidates span only those
+    rows' ranges, which keeps its reads inside the masked read.  Rows
+    without a collapse date fail, so what their scans read is discarded.
     """
     rows, T = values.shape
     margin, k_hi = trimming.margin(T), trimming.k_hi(T)
@@ -312,34 +306,69 @@ def _tile_scans(values: np.ndarray, y0, trimming: TrimmingPolicy) -> tuple:
     ahead, back = (0, z[:rows], ssr[:rows]), (0, z[rows:], ssr[rows:])
     collapse = _scan(ahead, back, margin, k_hi, np.full(rows, margin), np.full(rows, k_hi))
     k_c = collapse.k_hat
+    # a row without a collapse date keeps a clamped k_c, which must not
+    # narrow the skip or widen the subsample scans.  Its lags are zero past
+    # the trimming margin, so its masked read still starts with a zero
+    # lag, and no value of the row before it carries into its pass.
+    dated = k_c[collapse.found] if collapse.found.any() else k_c
+    first, last = int(dated.min()), int(dated.max())
+    skip = min(first, T - last)
     # zero the times up to k_c in the forward read of row i, those after
     # k_c in its backward read
     lead = np.concatenate([k_c, T - k_c])
-    skip = int(lead.min())
     masked = pairs[..., skip:].copy()
     del pairs  # freed before the pass allocates, which keeps a tile's peak memory down
     np.copyto(masked, 0.0, where=np.arange(skip, T + 1) <= lead[:, np.newaxis])
     ssr, z = _pass(masked)[1:]
     del masked
     z += skip
-    emergence = _scan(ahead, (skip, z[rows:], ssr[rows:]), margin, max(margin, int(k_c.max()) - margin),
+    emergence = _scan(ahead, (skip, z[rows:], ssr[rows:]), margin, max(margin, last - margin),
                       collapse.lo, k_c - margin)
-    recovery = _scan((skip, z[:rows], ssr[:rows]), back, min(k_hi, int(k_c.min()) + margin + 1), k_hi,
+    recovery = _scan((skip, z[:rows], ssr[:rows]), back, min(k_hi, first + margin + 1), k_hi,
                      k_c + margin + 1, collapse.hi)
     return collapse, emergence, recovery
+
+
+def _read_scans(scans: tuple, failed: np.ndarray) -> list:
+    """Each row's dates, unavailable reasons and segment SSRs, as lists in
+    ``TileEstimates`` field order, from a tile's three scans.
+
+    A row fails, with every entry None, where ``failed`` is set or its
+    collapse scan found no minimizer.  A subsample date is unavailable
+    as a boundary violation where its range is empty, and as degenerate
+    where every candidate in it has a degenerate segment.
+    """
+    collapse, emergence, recovery = scans
+    dated = collapse.found & ~failed
+    dated_rows = dated.tolist()
+
+    def dates(scan):
+        """A scan's date and segment SSRs for each row, None where unavailable."""
+        found = (scan.found & dated).tolist()
+        segments = zip(scan.left_ssr.tolist(), scan.right_ssr.tolist())
+        return ([k if f else None for k, f in zip(scan.k_hat.tolist(), found)],
+                [s if f else None for s, f in zip(segments, found)])
+
+    def reasons(scan):
+        found, empty = scan.found.tolist(), (scan.lo > scan.hi).tolist()
+        return [None if f or not d else UnavailableReason.BOUNDARY_VIOLATION if x else UnavailableReason.DEGENERATE
+                for f, d, x in zip(found, dated_rows, empty)]
+
+    (k_c, seg_c), (k_e, seg_e), (k_r, seg_r) = dates(collapse), dates(emergence), dates(recovery)
+    return [k_c, k_e, k_r, reasons(emergence), reasons(recovery), seg_c, seg_e, seg_r]
 
 
 def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) -> TileEstimates:
     """Date every row of a (rows, T) tile of series, as ``estimate_dates`` dates each.
 
     ``y0`` is None (no presample value) or each row's presample value, a
-    scalar or one per row.  Rows are dated independently: each row's
-    dates, reasons and segment SSRs are bit-identical to those of its
-    one-row ``estimate_dates`` call, and a row on which that call raises
-    (a non-finite value or y0, T below MIN_ESTIMATION_LENGTH, no
+    number or one number per row.  Rows are dated independently: each
+    row's dates, reasons and segment SSRs are bit-identical to those of
+    its one-row ``estimate_dates`` call, and a row on which that call
+    raises (a non-finite value or y0, T below MIN_ESTIMATION_LENGTH, no
     admissible collapse candidate) fails without affecting the others.
-    Input that is not 2-d raises ``SeriesValidationError``; a tile without
-    rows gives empty lists.
+    Input that is not 2-d, or a ``y0`` of another form, raises
+    ``SeriesValidationError``; a tile without rows gives empty lists.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -347,7 +376,11 @@ def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) 
     rows, T = values.shape
     failed = ~np.isfinite(values).all(axis=1)
     if y0 is not None:
-        y0 = np.broadcast_to(np.asarray(y0, dtype=np.float64), (rows,))
+        y0 = np.asarray(y0)
+        if y0.dtype.kind not in "iuf" or y0.shape not in ((), (rows,)):
+            raise SeriesValidationError([f"y0 must be None, a number or one number per row, got a {y0.dtype} "
+                                         f"array of shape {y0.shape} for {rows} rows"])
+        y0 = np.broadcast_to(y0.astype(np.float64), (rows,))
         failed |= ~np.isfinite(y0)
     n_obs = T if y0 is not None else T - 1
     if T < MIN_ESTIMATION_LENGTH or rows == 0:
@@ -355,62 +388,14 @@ def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) 
     if failed.any():
         values = np.where(failed[:, np.newaxis], 0.0, values)
         y0 = None if y0 is None else np.where(failed, 0.0, y0)
-    collapse, emergence, recovery = _tile_scans(values, y0, trimming)
-    failed |= ~collapse.found
-    gone = failed.tolist()
-
-    def dates(scan):
-        """A scan's date and segment SSRs for each row, None where unavailable."""
-        found = (scan.found & ~failed).tolist()
-        segments = zip(scan.left_ssr.tolist(), scan.right_ssr.tolist())
-        return ([k if f else None for k, f in zip(scan.k_hat.tolist(), found)],
-                [s if f else None for s, f in zip(segments, found)])
-
-    def reasons(scan):
-        found, empty = scan.found.tolist(), (scan.lo > scan.hi).tolist()
-        return [None if f or g else UnavailableReason.BOUNDARY_VIOLATION if x else UnavailableReason.DEGENERATE
-                for f, g, x in zip(found, gone, empty)]
-
-    (k_c, seg_c), (k_e, seg_e), (k_r, seg_r) = dates(collapse), dates(emergence), dates(recovery)
-    return TileEstimates(
-        n_obs=n_obs,
-        k_c_hat=k_c,
-        k_e_hat=k_e,
-        k_r_hat=k_r,
-        unavailable_reason_e=reasons(emergence),
-        unavailable_reason_r=reasons(recovery),
-        segment_ssr_c=seg_c,
-        segment_ssr_e=seg_e,
-        segment_ssr_r=seg_r,
-    )
+    return TileEstimates(n_obs, *_read_scans(_tile_scans(values, y0, trimming), failed))
 
 
-def _row_scan(scan: TileScan, i: int) -> BreakScan:
-    """Row i of a tile scan, with its SSR curve and skipped candidates."""
-    lo, hi = int(scan.lo[i]), int(scan.hi[i])
-    if lo > hi:
-        raise EmptyRangeError(f"empty candidate range [{lo}, {hi}]")
-    if not scan.found[i]:
-        raise DegenerateSegmentError(f"every candidate in [{lo}, {hi}] has a degenerate segment")
+def _curve(scan: TileScan, i: int) -> np.ndarray:
+    """Row i's (k, SSR) pairs, one per valid candidate."""
     a = int(scan.ks[0])
     valid = slice(int(scan.valid_lo[i]) - a, int(scan.valid_hi[i]) - a + 1)
-    return BreakScan(
-        k_hat=int(scan.k_hat[i]),
-        curve=np.column_stack([scan.ks[valid], scan.ssr[i, valid]]),
-        skipped=np.concatenate([scan.ks[lo - a:valid.start], scan.ks[valid.stop:hi - a + 1]]),
-        segment_ssr=(float(scan.left_ssr[i]), float(scan.right_ssr[i])),
-    )
-
-
-def _subsample_scan(scan: TileScan, i: int) -> tuple:
-    """Row i of a subsample scan: (scan, scanned range, unavailable reason)."""
-    k_range = (int(scan.lo[i]), int(scan.hi[i]))
-    if k_range[0] > k_range[1]:
-        return None, None, UnavailableReason.BOUNDARY_VIOLATION
-    try:
-        return _row_scan(scan, i), k_range, None
-    except DegenerateSegmentError:
-        return None, k_range, UnavailableReason.DEGENERATE
+    return np.column_stack([scan.ks[valid], scan.ssr[i, valid]])
 
 
 def estimate_dates(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) -> BreakEstimates:
@@ -429,25 +414,27 @@ def estimate_dates(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) 
     T = series.T
     if T < MIN_ESTIMATION_LENGTH:
         raise SeriesValidationError([TooShort(T)])
-    collapse, emergence, recovery = _tile_scans(series.values[np.newaxis], series.y0, trimming)
-    scan_c = _row_scan(collapse, 0)
-    scan_e, range_e, reason_e = _subsample_scan(emergence, 0)
-    scan_r, range_r, reason_r = _subsample_scan(recovery, 0)
+    scans = _tile_scans(series.values[np.newaxis], series.y0, trimming)
+    k_c, k_e, k_r, reason_e, reason_r, seg_c, seg_e, seg_r = (x[0] for x in _read_scans(scans, np.zeros(1, bool)))
+    range_c, range_e, range_r = (None if s.lo[0] > s.hi[0] else (int(s.lo[0]), int(s.hi[0])) for s in scans)
+    if k_c is None:
+        raise DegenerateSegmentError(f"every candidate in [{range_c[0]}, {range_c[1]}] has a degenerate segment")
+    curve_c, curve_e, curve_r = (None if k is None else _curve(s, 0) for s, k in zip(scans, (k_c, k_e, k_r)))
     return BreakEstimates(
-        k_c_hat=scan_c.k_hat,
-        k_e_hat=scan_e and scan_e.k_hat,
-        k_r_hat=scan_r and scan_r.k_hat,
+        k_c_hat=k_c,
+        k_e_hat=k_e,
+        k_r_hat=k_r,
         unavailable_reason_e=reason_e,
         unavailable_reason_r=reason_r,
-        range_c=(int(collapse.lo[0]), int(collapse.hi[0])),
+        range_c=range_c,
         range_e=range_e,
         range_r=range_r,
-        ssr_curve_c=scan_c.curve,
-        ssr_curve_e=scan_e and scan_e.curve,
-        ssr_curve_r=scan_r and scan_r.curve,
-        segment_ssr_c=scan_c.segment_ssr,
-        segment_ssr_e=scan_e and scan_e.segment_ssr,
-        segment_ssr_r=scan_r and scan_r.segment_ssr,
+        ssr_curve_c=curve_c,
+        ssr_curve_e=curve_e,
+        ssr_curve_r=curve_r,
+        segment_ssr_c=seg_c,
+        segment_ssr_e=seg_e,
+        segment_ssr_r=seg_r,
     )
 
 

@@ -34,6 +34,7 @@ from .dgp import ErrorSpec, IidGaussian, VolatilityScaled, _regime_recursion, ge
 from .estimator import ModelChoice, estimate_tile
 from .rng import stream
 from .types import (
+    MIN_ESTIMATION_LENGTH,
     ConfigError,
     DgpConfig,
     SingleShiftVolatility,
@@ -103,8 +104,13 @@ class ExperimentConfig:
             problems.append("experiment has no targets and bic is off")
         if len(set(self.targets)) != len(self.targets):
             problems.append("targets must not repeat")
+        short = [T for T in self.T_grid if T < MIN_ESTIMATION_LENGTH]
+        if short:
+            problems.append(f"sample sizes below {MIN_ESTIMATION_LENGTH} cannot be dated: {short}")
         if problems:
             raise ConfigError(problems)
+        for cell in self.cells():
+            self.cell_dgp(cell)  # raises the ConfigError of a cell's DGP
 
     def cells(self) -> list:
         out = []

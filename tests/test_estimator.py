@@ -38,7 +38,7 @@ from bubbledate import (
     simulate,
     ssr_split,
 )
-from bubbledate.estimator import _pass, _row_scan, _scan, _tile_pairs
+from bubbledate.estimator import _curve, _pass, _scan, _tile_pairs
 from bubbledate.rng import stream
 from bubbledate.types import MIN_ESTIMATION_LENGTH
 
@@ -72,7 +72,7 @@ def growth_then_zeros():
 
 
 def window_scan(series, seg_start, seg_end, k_lo, k_hi):
-    """``_scan`` over [seg_start, seg_end] of a one-row tile, as its row's ``BreakScan``.
+    """``_scan`` over [seg_start, seg_end] of a one-row tile: the tile's ``TileScan``.
 
     Masks confine the reads to the window: the forward read zeroes the
     times before seg_start, the backward read those after seg_end.  Each
@@ -83,7 +83,7 @@ def window_scan(series, seg_start, seg_end, k_lo, k_hi):
     pairs[:, 1, 1:series.T + 1 - seg_end] = 0.0
     _, ssr, zeros = _pass(pairs)
     reads = (0, zeros[:1], ssr[:1]), (0, zeros[1:], ssr[1:])
-    return _row_scan(_scan(*reads, k_lo, k_hi, np.array([k_lo]), np.array([k_hi])), 0)
+    return _scan(*reads, k_lo, k_hi, np.array([k_lo]), np.array([k_hi]))
 
 
 class TestTilePairs:
@@ -209,14 +209,14 @@ class TestSplitScan:
         values = growth_decay_tent(20, 10, 1.2, 0.8)
         s = Series(values, y0=1.0)
         scan = window_scan(s, 1, s.T, 2, 18)
-        assert scan.k_hat == 10
-        assert scan.curve.shape == (17, 2)
-        assert scan.skipped.size == 0
-        assert scan.curve[:, 0].tolist() == list(range(2, 19))
+        assert scan.k_hat[0] == 10
+        curve = _curve(scan, 0)
+        assert curve.shape == (17, 2)
+        assert curve[:, 0].tolist() == list(range(2, 19))  # every candidate in range, none skipped
 
     def test_exact_ties_resolve_to_smallest_date(self):
         s = Series(np.full(30, 2.0), y0=2.0)
-        assert window_scan(s, 1, s.T, 4, 26).k_hat == 4
+        assert window_scan(s, 1, s.T, 4, 26).k_hat[0] == 4
 
     def test_degenerate_candidates_are_skipped(self):
         # left lags stay zero through t = 4 (the lag at t is values[t - 2]),
@@ -225,13 +225,14 @@ class TestSplitScan:
         assert naive_segment_fit(values, None, 1, 4) is None
         s = Series(values)
         scan = window_scan(s, 1, s.T, 2, 6)
-        assert scan.skipped.tolist() == [2, 3, 4]
-        assert scan.curve[:, 0].tolist() == [5.0, 6.0]
+        assert scan.valid_lo[0] == 5  # candidates 2, 3 and 4 are skipped
+        assert _curve(scan, 0)[:, 0].tolist() == [5.0, 6.0]
 
     def test_all_candidates_degenerate_raises(self):
         s = Series(np.zeros(10))
+        assert not window_scan(s, 1, s.T, 2, 8).found[0]
         with pytest.raises(DegenerateSegmentError):
-            window_scan(s, 1, s.T, 2, 8)
+            estimate_dates(Series(np.zeros(40)))
 
     def test_empty_range_raises(self):
         s = Series(np.ones(10), y0=1.0)
@@ -246,7 +247,7 @@ class TestSplitScan:
             values = 1.0 + 0.1 * rng.normal(size=50) + np.linspace(0, 2, 50)
             s = Series(values, y0=y0)
             scan = window_scan(s, 1, s.T, 3, 47)
-            assert scan.k_hat == naive_window_scan(values, y0, 1, 50, 3, 47)
+            assert scan.k_hat[0] == naive_window_scan(values, y0, 1, 50, 3, 47)
 
 
 class TestEstimateDates:
@@ -324,6 +325,7 @@ class TestEstimateDates:
         assert est.k_e_hat is None
         assert est.unavailable_reason_e is UnavailableReason.BOUNDARY_VIOLATION
         assert est.range_e is None
+        assert est.ssr_curve_e is None and est.segment_ssr_e is None
         assert est.k_r_hat == 30
 
     def test_degenerate_recovery_window(self):
@@ -332,6 +334,7 @@ class TestEstimateDates:
         assert est.k_r_hat is None
         assert est.unavailable_reason_r is UnavailableReason.DEGENERATE
         assert est.range_r == (23, 38)
+        assert est.ssr_curve_r is None and est.segment_ssr_r is None
 
     def test_short_series_rejected(self):
         with pytest.raises(SeriesValidationError):
@@ -619,10 +622,22 @@ class TestEstimateTile:
 
         monkeypatch.setattr(estimator, "_pass", recording_pass)
         paths = [simulate(explosive_config(800, 1.09), IidGaussian(1.0), seed) for seed in range(16)]
-        estimate_tile(np.array([p.values for p in paths]), np.array([p.y0 for p in paths]))
+        values, y0 = np.array([p.values for p in paths]), np.array([p.y0 for p in paths])
+        whole = tile_record(estimate_tile(values, y0))
         assert len(widths) == 2
         assert widths[0] == 801  # the full read: a zero pair, then T pairs
         assert widths[1] < 800  # the masked read
+        # a failed row, with a NaN or with no collapse candidate, neither
+        # widens the masked read nor changes the other rows
+        masked = widths[1]
+        nan_row = values[5].copy()
+        nan_row[400] = np.nan
+        for failed_row in (nan_row, np.zeros(800)):
+            widths.clear()
+            tile = tile_record(estimate_tile(np.vstack([values[:5], failed_row, values[6:]]), y0))
+            assert widths[1] == masked
+            assert [r[5] for r in tile] == [None] * 9
+            assert [r[:5] + r[6:] for r in tile] == [r[:5] + r[6:] for r in whole]
 
     def test_split_tiles_agree(self):
         values, y0 = contract_tile()
@@ -652,6 +667,9 @@ class TestEstimateTile:
         for bad in (values[0], values[np.newaxis], 1.0):
             with pytest.raises(SeriesValidationError):
                 estimate_tile(bad)
+        for bad_y0 in (np.zeros(2), np.zeros((3, 1)), "1.0"):
+            with pytest.raises(SeriesValidationError):
+                estimate_tile(values[:3], bad_y0)
 
     def test_tile_without_rows_gives_empty_lists(self):
         for y0 in (None, np.zeros(0)):

@@ -73,6 +73,17 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(targets=(), bic=False)
 
+    def test_cells_are_checked_at_construction(self):
+        # a bad cell raises when the config is built, not when it runs: with
+        # its own DGP's problem, or as a sample size too short to date
+        base = preset("baseline")
+        for overrides, problem in ((dict(phi_a_grid=(1.01, 0.9)), "phi_a must exceed 1, got 0.9"),
+                                   (dict(phi_b_grid=(0.96, 1.2)), "phi_b must lie in (0, 1), got 1.2"),
+                                   (dict(T_grid=(400, 30)), "sample sizes below 40 cannot be dated: [30]")):
+            with pytest.raises(ConfigError) as err:
+                replace(base, reps=200, **overrides)
+            assert err.value.problems == [problem]
+
 
 class TestPresets:
     def test_baseline_design(self):
