@@ -8,14 +8,16 @@ objective over a discretized grid:
 * the recovery-date limit, driven on the negative side by stochastic
   integrals of the tail process B~(s) = int_s^inf exp(-c_b (t-s)) dB_1(t)
   and on the positive side by an independent Brownian motion, with an
-  optional penalty correction for serially correlated errors.
+  optional penalty correction for serially correlated errors.  By Brownian
+  scaling it is the c_b = 1 law divided by c_b, so it is sampled at c_b = 1
+  on a grid in those standard units, whose natural window is v_max / c_b.
 
 Ito integrals against adapted integrands use left-endpoint sums; the
 integral of B~ against dB_1 pairs each increment with the tail value at
 the next grid point instead, because B~ looks forward and already
 contains the current increment.  B~ itself is built by the exponentially
 discounted backward recursion x_i = dB_1[i] + rho x_{i+1}, rho =
-exp(-c_b step), over the increments on [0, v_max), solved by recursive
+exp(-step), over the increments on [0, v_max), solved by recursive
 doubling (Kogge & Stone 1973).  It starts from B~(v_max), independent of
 those increments and drawn from the recursion's stationary law
 N(0, step / (1 - rho^2)), the exact Ornstein-Uhlenbeck update (Gillespie
@@ -54,9 +56,9 @@ REJECTION_THRESHOLD = 1e-8
 class Discretization:
     """Grid controls shared by the limit-law samplers.
 
-    ``step`` is the grid spacing and ``v_max`` the half-width of the
-    argmax search window.  The tail process needs nothing beyond v_max:
-    it starts there from its exact stationary law.
+    ``step`` is the grid spacing and ``v_max`` the half-width of the argmax
+    search window, in standard (c_b = 1) units for the recovery law.  The tail
+    process needs nothing beyond v_max: it starts there from its exact stationary law.
     """
 
     step: float = 0.01
@@ -119,9 +121,9 @@ def bn_decompose(coeffs: LinearProcessCoeffs) -> BnDecomposition:
 class OuPath:
     """Discretized tail process with the Brownian increments that drove it.
 
-    ``b_tilde[i]`` is the discrete tail process at grid[i], b_tilde[i] =
-    db1[i] + rho * b_tilde[i+1] with rho = exp(-c_b * step); it is exactly
-    stationary, with variance step / (1 - rho^2) at every grid point.
+    ``b_tilde[i]`` is the discrete tail process at grid[i] in natural units,
+    b_tilde[i] = db1[i] + rho * b_tilde[i+1] with rho = exp(-c_b * step); it
+    is exactly stationary, with variance step / (1 - rho^2) at every grid point.
     ``db1[i]`` is the increment of B_1 over [grid[i], grid[i+1]), shared
     with the stochastic integrals on the negative branch of the recovery
     objective.
@@ -149,19 +151,19 @@ def lfilter(rho: float, d: np.ndarray) -> np.ndarray:
     return x
 
 
-def _tail_process(c_b: float, disc: Discretization, rng) -> tuple:
-    """B~ on [0, v_max] and dB_1 on [0, v_max), B~(v_max) drawn from its stationary law; no checks."""
-    rho = math.exp(-c_b * disc.step)
-    db1 = rng.standard_normal(disc.n_grid()) * math.sqrt(disc.step)
-    x_end = rng.standard_normal() * math.sqrt(disc.step / -math.expm1(-2.0 * c_b * disc.step))
-    return lfilter(rho, np.append(db1, x_end)), db1
+def _tail_process(step: float, n: int, rng) -> tuple:
+    """Unit-intensity B~ on n + 1 points and dB_1 on the n cells, B~ at the end from its stationary law; no checks."""
+    db1 = rng.standard_normal(n) * math.sqrt(step)
+    x_end = rng.standard_normal() * math.sqrt(step / -math.expm1(-2.0 * step))
+    return lfilter(math.exp(-step), np.append(db1, x_end)), db1
 
 
 def sample_ou_path(c_b: float, disc: Discretization, rng: np.random.Generator) -> OuPath:
-    """Draw one discretized tail-process path on [0, v_max] from rng."""
-    b_tilde, db1 = _tail_process(_require_c_b(c_b), disc, rng)
+    """One natural-unit tail-process path on [0, v_max]: the standard path at step c_b * step over sqrt(c_b)."""
+    scale = math.sqrt(_require_c_b(c_b, disc.v_max))
+    b_tilde, db1 = _tail_process(c_b * disc.step, disc.n_grid(), rng)
     grid = np.arange(disc.n_grid() + 1) * disc.step
-    return OuPath(grid=grid, b_tilde=b_tilde, db1=db1, c_b=c_b, step=disc.step)
+    return OuPath(grid=grid, b_tilde=b_tilde / scale, db1=db1 / scale, c_b=c_b, step=disc.step)
 
 
 def _two_sided(t: np.ndarray, obj_neg: np.ndarray, obj_pos: np.ndarray) -> tuple:
@@ -170,7 +172,6 @@ def _two_sided(t: np.ndarray, obj_neg: np.ndarray, obj_pos: np.ndarray) -> tuple
 
 
 def _recovery_objective(
-    c_b: float,
     b_tilde: np.ndarray,
     db1: np.ndarray,
     db2: np.ndarray,
@@ -178,7 +179,7 @@ def _recovery_objective(
     psi_star_neg: float,
     psi_star_pos: float,
 ) -> tuple:
-    """Evaluate the recovery objective on the symmetric grid.
+    """Evaluate the standard (unit-intensity) recovery objective on the symmetric grid.
 
     Returns (v_grid, values) with v ascending from -v_max to v_max; the
     value at v = 0 is exactly zero.
@@ -197,21 +198,21 @@ def _recovery_objective(
 
     bt_next = b_tilde[1 : n + 1]
     i1 = np.cumsum(bt_next * db1)
-    i2 = np.cumsum(bt_next * bt_next - 1.0 / (2.0 * c_b)) * step
-    c_neg = 2.0 * i1 - c_b * i2
+    i2 = np.cumsum(bt_next * bt_next - 0.5) * step
+    c_neg = 2.0 * i1 - i2
     obj_neg = c_neg - 0.5 * t * psi_star_neg
 
     b2 = np.concatenate([[0.0], np.cumsum(db2)])
     j1 = np.cumsum(b2[:n] * db2)
     j2 = np.cumsum((b2[:n] / (2.0 * b0) + 1.0) * b2[:n]) * step
-    c_pos = -(b2[1:] + j1 / b0 + c_b * j2) / (c_b * b0)
+    c_pos = -(b2[1:] + j1 / b0 + j2) / b0
     obj_pos = c_pos - 0.5 * t * psi_star_pos
     return _two_sided(t, obj_neg, obj_pos)
 
 
-def _one_recovery_draw(c_b, disc, bn: Optional[BnDecomposition], rng) -> Optional[tuple]:
-    """One attempt: the recovery objective, or None if B~(0) is too small."""
-    b_tilde, db1 = _tail_process(c_b, disc, rng)
+def _one_recovery_draw(disc, bn: Optional[BnDecomposition], rng) -> Optional[tuple]:
+    """One attempt: the standard recovery objective, or None if B~(0) is too small."""
+    b_tilde, db1 = _tail_process(disc.step, disc.n_grid(), rng)
     db2 = rng.standard_normal(disc.n_grid()) * math.sqrt(disc.step)
     b0 = float(b_tilde[0])
     if abs(b0) < REJECTION_THRESHOLD:
@@ -220,8 +221,8 @@ def _one_recovery_draw(c_b, disc, bn: Optional[BnDecomposition], rng) -> Optiona
     if bn is not None:
         psi_neg = 1.0 - bn.psi_check
         ratio = bn.psi_sq_sum / bn.psi_sum**2
-        psi_pos = 1.0 + (1.0 - ratio) / (c_b * b0 * b0)
-    return _recovery_objective(c_b, b_tilde, db1, db2, disc.step, psi_neg, psi_pos)
+        psi_pos = 1.0 + (1.0 - ratio) / (b0 * b0)
+    return _recovery_objective(b_tilde, db1, db2, disc.step, psi_neg, psi_pos)
 
 
 @dataclass(frozen=True)
@@ -254,14 +255,15 @@ def recovery_limit_draws(
     seed: int = 0,
     correction: Optional[LinearProcessCoeffs] = None,
 ) -> LimitSample:
-    """Batch of independent recovery-limit draws.
+    """Batch of independent recovery-limit draws: the c_b = 1 draws on ``disc`` divided by c_b.
 
     Draw i comes from the (seed, i) stream, so any subset or reordering of
     the batch reproduces the same values.
     """
-    _require_c_b(c_b)
+    _require_c_b(c_b, disc.v_max)
     bn = bn_decompose(correction) if correction is not None else None
-    return _draw_batch(partial(_one_recovery_draw, c_b, disc, bn), draws, seed)
+    sample = _draw_batch(partial(_one_recovery_draw, disc, bn), draws, seed)
+    return LimitSample(values=sample.values / c_b, rejections=sample.rejections)
 
 
 def _emergence_objective(w_left: np.ndarray, w_right: np.ndarray, level: float, step: float) -> tuple:

@@ -89,8 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_lim.add_argument("--draws", type=int, default=10_000)
     p_lim.add_argument("--seed", type=int, required=True)
-    p_lim.add_argument("--step", type=float, default=0.01)
-    p_lim.add_argument("--vmax", type=float, default=50.0)
+    p_lim.add_argument("--step", type=float, default=0.01, help="grid spacing (standard c_b = 1 units for recovery)")
+    p_lim.add_argument("--vmax", type=float, default=50.0,
+                       help="argmax window half-width (standard units for recovery, natural window vmax / cb)")
     p_lim.add_argument("--out", required=True, help="output file prefix")
     return parser
 
@@ -220,8 +221,10 @@ def cmd_limitdist(args) -> int:
         sample = recovery_limit_draws(
             args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=correction
         )
+        scale = args.cb
     else:
         sample = emergence_limit_draws(args.tau_e, draws=args.draws, disc=disc, seed=args.seed)
+        scale = 1.0
     values = sample.values
     dataio.write_draws_csv(args.out + "_draws.csv", values)
     dataio.write_draw_histogram_csv(args.out + "_hist.csv", values)
@@ -234,7 +237,7 @@ def cmd_limitdist(args) -> int:
         "mean": float(values.mean()),
         "std": float(values.std(ddof=1)) if values.shape[0] > 1 else None,
         "quantiles": {"q10": q[0], "q25": q[1], "q50": q[2], "q75": q[3], "q90": q[4]},
-        "window_edge_share": float(np.mean(np.abs(values) >= 0.9 * disc.v_max)),
+        "window_edge_share": float(np.mean(np.abs(values) * scale >= 0.9 * disc.v_max)),
     }
     if args.law == "recovery":
         summary["c_b"] = args.cb

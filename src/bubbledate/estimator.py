@@ -41,6 +41,7 @@ from .types import (
     TooShort,
     TrimmingPolicy,
     UnavailableReason,
+    _float_values,
 )
 
 __all__ = [
@@ -276,7 +277,10 @@ def _scan(forward, backward, a: int, b: int, lo: np.ndarray, hi: np.ndarray) -> 
     left, right = ssr1[:, a - o1:b + 1 - o1], ssr2[:, T - b - o2:T + 1 - a - o2][:, ::-1]
     ssr = left + right
     valid_lo, valid_hi = np.maximum(lo, z1), np.minimum(hi, T - z2)
-    np.copyto(ssr, np.inf, where=(ks < valid_lo[:, np.newaxis]) | (ks > valid_hi[:, np.newaxis]))
+    # every row is valid from the largest valid_lo to the smallest valid_hi
+    head, tail = max(int(valid_lo.max()) - a, 0), max(int(valid_hi.min()) - a + 1, 0)
+    np.copyto(ssr[:, :head], np.inf, where=ks[:head] < valid_lo[:, np.newaxis])
+    np.copyto(ssr[:, tail:], np.inf, where=ks[tail:] > valid_hi[:, np.newaxis])
     best = ssr.min(axis=1, keepdims=True)
     # where every valid SSR is +inf the first valid candidate wins; a row
     # without one keeps an index inside the scan
@@ -367,10 +371,11 @@ def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) 
     its one-row ``estimate_dates`` call, and a row on which that call
     raises (a non-finite value or y0, T below MIN_ESTIMATION_LENGTH, no
     admissible collapse candidate) fails without affecting the others.
-    Input that is not 2-d, or a ``y0`` of another form, raises
-    ``SeriesValidationError``; a tile without rows gives empty lists.
+    Input that is not a 2-d tile of real numbers, or a ``y0`` of another
+    form, raises ``SeriesValidationError``; a tile without rows gives empty
+    lists.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _float_values(values)
     if values.ndim != 2:
         raise SeriesValidationError([f"expected a 2-d (rows, T) tile, got shape {values.shape}"])
     rows, T = values.shape

@@ -98,6 +98,17 @@ class ConfigError(BubbleDateError):
         return "; ".join(self.problems)
 
 
+def _float_values(values) -> np.ndarray:
+    """``values`` as a float64 array; values that are not real numbers raise SeriesValidationError."""
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind not in "biufO":  # not complex numbers, strings or dates
+            raise TypeError(f"dtype {array.dtype}")
+        return array.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise SeriesValidationError([f"values must be real numbers: {exc}"]) from None
+
+
 @dataclass(frozen=True)
 class Series:
     """An observed or simulated sample path.
@@ -117,7 +128,8 @@ class Series:
 
     Construction raises one :class:`SeriesValidationError` that lists
     every non-finite observation, a label-length mismatch and a
-    non-finite ``y0`` together.
+    non-finite ``y0`` together; values that are not real numbers raise it
+    at once.
     """
 
     values: np.ndarray
@@ -125,7 +137,7 @@ class Series:
     labels: Optional[tuple] = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _float_values(self.values)
         if values.ndim != 1:
             raise SeriesValidationError([f"expected 1-d values, got shape {values.shape}"])
         issues = [NonFinite(int(i) + 1) for i in np.nonzero(~np.isfinite(values))[0]]
@@ -155,7 +167,7 @@ def validate_series(values, labels=None, y0: Optional[float] = None) -> Series:
     first problem.  :class:`Series` collects all but the length rule,
     which applies only to data meant for estimation.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _float_values(values)
     short = [TooShort(len(values))] if values.ndim == 1 and len(values) < MIN_ESTIMATION_LENGTH else []
     try:
         series = Series(values, y0=y0, labels=labels)
@@ -271,16 +283,11 @@ def explosion_exponent(phi_a: float, T: int, c_a: float = 1.0) -> float:
     return (math.log(c_a) - math.log(phi_a - 1.0)) / math.log(T)
 
 
-# Smallest accepted c_b.  The recovery sampler squares the tail process,
-# whose variance is 1/(2 c_b); near the subnormal range those squares and
-# 1/(2 c_b) itself overflow float64.
-_C_B_MIN = 1e-300
-
-
-def _require_c_b(c_b: float) -> float:
-    """The collapse intensity c_b, which must be finite and at least _C_B_MIN everywhere it is used."""
-    if not (c_b >= _C_B_MIN and math.isfinite(c_b)):
-        raise ConfigError([f"c_b must be finite and at least {_C_B_MIN}, got {c_b}"])
+def _require_c_b(c_b: float, v_max: float = 1.0) -> float:
+    """The collapse intensity c_b: positive, with a window v_max finite in natural and in standard units."""
+    c_b, v_max = float(c_b), float(v_max)  # Python floats overflow to inf without a warning
+    if not (c_b > 0.0 and math.isfinite(v_max / c_b) and math.isfinite(c_b * v_max)):
+        raise ConfigError([f"c_b must be positive with v_max / c_b and c_b * v_max finite, got {c_b} (v_max {v_max})"])
     return c_b
 
 

@@ -81,7 +81,8 @@ GOLDEN_DRAWS = [
         lambda: recovery_limit_draws(
             3.0, draws=100, seed=5, disc=Discretization(step=0.005, v_max=5.0)
         ),
-        "0bd338748acde90fdb21015fae652e15de922d990c923bb030c27da653c53080",
+        # the grid is in standard units: these are the c_b = 1 draws on it divided by 3
+        "de472b394227b1d98375c69c7d6c29304bdd5f1f45817bf687ae4f8c4c2addb5",
         id="recovery-fine-grid",
     ),
     pytest.param(
@@ -231,6 +232,8 @@ class TestOuSampler:
         for bad in (0.0, 1e-310, math.nan, math.inf):
             with pytest.raises(ConfigError):
                 sample_ou_path(bad, Discretization(), stream(0))
+        with pytest.raises(ConfigError):  # c_b * v_max overflows, and with it the standard step
+            sample_ou_path(1.7e308, Discretization(step=10.0, v_max=1000.0), stream(0))
 
 
 class TestRecoveryObjective:
@@ -238,9 +241,7 @@ class TestRecoveryObjective:
         disc = Discretization(step=0.01, v_max=1.0)
         path = sample_ou_path(1.0, disc, stream(21))
         db2 = stream(22).standard_normal(100) * math.sqrt(0.01)
-        v_grid, values = _recovery_objective(
-            1.0, path.b_tilde, path.db1, db2, 0.01, 1.0, 1.0
-        )
+        v_grid, values = _recovery_objective(path.b_tilde, path.db1, db2, 0.01, 1.0, 1.0)
         assert v_grid.shape == values.shape == (201,)
         assert v_grid[100] == 0.0
         assert values[100] == 0.0
@@ -299,6 +300,21 @@ class TestRecoveryLaw:
         base, _ = recovery_draws
         assert base.values.shape == (N_DRAWS,)
         assert base.rejections >= 0
+
+    @pytest.mark.parametrize("c_b", [0.2, 3.0])
+    @pytest.mark.parametrize("psi", [None, (1.0, 0.5)])
+    def test_draws_are_the_standard_law_scaled(self, c_b, psi):
+        correction = None if psi is None else LinearProcessCoeffs(psi)
+        scaled = recovery_limit_draws(c_b, draws=30, seed=6, correction=correction)
+        standard = recovery_limit_draws(1.0, draws=30, seed=6, correction=correction)
+        assert np.array_equal(scaled.values, standard.values / c_b)
+        assert scaled.rejections == standard.rejections
+
+    def test_default_window_covers_weak_mean_reversion(self):
+        # the default window is 50 standard units, 250 natural units at
+        # c_b = 0.2, where the law puts mass beyond 50
+        values = recovery_limit_draws(0.2, draws=300, seed=2).values
+        assert np.max(np.abs(values)) > 50.0
 
     def test_rejects_nonpositive_mean_reversion(self):
         with pytest.raises(ConfigError):

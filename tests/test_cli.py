@@ -423,6 +423,10 @@ class TestLimitdistCommand:
         assert main(["limitdist", "emergence", "--vmax", "1", "--step", "0.01", "--draws", "50",
                      "--seed", "1", "--out", str(tmp_path / "narrow")]) == 0
         assert json.loads(capsys.readouterr().out)["window_edge_share"] > 0.0
+        # a recovery window is in standard units, half a unit wide in natural units at cb = 2
+        assert main(["limitdist", "recovery", "--cb", "2", "--vmax", "1", "--step", "0.01", "--draws", "50",
+                     "--seed", "1", "--out", str(tmp_path / "narrow-recovery")]) == 0
+        assert json.loads(capsys.readouterr().out)["window_edge_share"] > 0.0
         for law in ("recovery", "emergence"):
             assert main(["limitdist", law, "--draws", "20", "--seed", "1", "--out", str(tmp_path / law)]) == 0
             assert 0.0 <= json.loads(capsys.readouterr().out)["window_edge_share"] <= 1.0
@@ -443,6 +447,9 @@ class TestLimitdistCommand:
         for bad in ("nan", "inf", "5e-324"):
             assert main(["limitdist", "recovery", "--cb", bad, "--seed", "1",
                          "--draws", "2", "--vmax", "5", "--out", prefix]) == 2
+        # the natural window vmax / cb overflows float64
+        assert main(["limitdist", "recovery", "--cb", "1e-300", "--vmax", "1e9", "--step", "1e7",
+                     "--seed", "1", "--draws", "2", "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--psi", "a,b", "--seed", "1",
                      "--draws", "2", "--out", prefix]) == 2
         assert main(["limitdist", "recovery", "--draws", "0", "--seed", "1",
@@ -461,6 +468,7 @@ class TestLimitdistCommand:
         assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
     def test_weak_mean_reversion_runs(self, tmp_path):
+        # --vmax is in standard (c_b = 1) units: a window of 5, or 5e6 natural units
         assert main(["limitdist", "recovery", "--cb", "1e-6", "--vmax", "5", "--draws", "2",
                      "--seed", "1", "--out", str(tmp_path / "x")]) == 0
 

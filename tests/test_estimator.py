@@ -38,7 +38,7 @@ from bubbledate import (
     simulate,
     ssr_split,
 )
-from bubbledate.estimator import _curve, _pass, _scan, _tile_pairs
+from bubbledate.estimator import _curve, _pass, _scan, _tile_pairs, _tile_scans
 from bubbledate.rng import stream
 from bubbledate.types import MIN_ESTIMATION_LENGTH
 
@@ -610,6 +610,23 @@ class TestEstimateTile:
         assert min(k_c) <= margin + 5 and max(k_c) >= k_hi - 5
         assert assert_rows_match_one_row_calls(values, np.ones(len(peaks))) == 0
 
+    def test_rows_with_spread_valid_ranges_match(self):
+        # leading and trailing zeros give each row its own run of degenerate
+        # candidates, so the rows' valid ranges differ at both ends
+        T = 120
+        rng = stream(910)
+        values = np.array([rng.normal(size=T).cumsum() for _ in range(6)])
+        for i, (lead, trail) in enumerate([(0, 0), (20, 0), (0, 25), (35, 10), (8, 40), (0, 0)]):
+            values[i, :lead] = 0.0
+            values[i, T - trail:] = 0.0
+        scans = _tile_scans(values, None, TrimmingPolicy())
+        assert len(set(scans[0].valid_lo.tolist())) >= 3 and len(set(scans[0].valid_hi.tolist())) >= 3
+        for scan in scans:
+            # exactly each row's candidates outside its own valid range are masked
+            outside = (scan.ks < scan.valid_lo[:, np.newaxis]) | (scan.ks > scan.valid_hi[:, np.newaxis])
+            assert np.array_equal(np.isinf(scan.ssr), outside)
+        assert assert_rows_match_one_row_calls(values, None) == 0
+
     def test_masked_read_skips_the_leading_zero_columns(self, monkeypatch):
         import bubbledate.estimator as estimator
 
@@ -664,7 +681,8 @@ class TestEstimateTile:
 
     def test_input_that_is_not_a_tile_raises(self):
         values, y0 = contract_tile()
-        for bad in (values[0], values[np.newaxis], 1.0):
+        for bad in (values[0], values[np.newaxis], 1.0, [["a"] * 40], [[1.0] * 40, [1.0] * 39],
+                    [[1 + 2j] * 40], values.astype(complex)):
             with pytest.raises(SeriesValidationError):
                 estimate_tile(bad)
         for bad_y0 in (np.zeros(2), np.zeros((3, 1)), "1.0"):

@@ -80,6 +80,14 @@ class TestSeries:
         with pytest.raises(SeriesValidationError):
             Series(np.ones(50), y0=math.inf)
 
+    def test_rejects_values_that_are_not_real_numbers(self):
+        for bad in (["a"] * 40, ["1.5"] * 40, [[1.0] * 3, [1.0] * 2], [1 + 2j] * 40, np.ones(40, dtype=complex),
+                    np.arange("2020-01-01", "2020-02-20", dtype="M8[D]"), [1.0] * 39 + [None, 2j]):
+            with pytest.raises(SeriesValidationError):
+                Series(bad)
+            with pytest.raises(SeriesValidationError):
+                validate_series(bad)
+
 
 class TestDgpConfig:
     def test_break_indices_baseline(self):
