@@ -22,13 +22,20 @@ doubling (Kogge & Stone 1973).  It starts from B~(v_max), independent of
 those increments and drawn from the recursion's stationary law
 N(0, step / (1 - rho^2)), the exact Ornstein-Uhlenbeck update (Gillespie
 1996).  Nothing beyond v_max is simulated and nothing is truncated.
+
+A batch of draws works in one workspace: every attempt, retries included,
+overwrites the same normals, tail process and objective branches, and a
+draw's value is the grid point of its branches' argmax.  Each branch of
+the recovery objective is one running sum, so its last bits differ from
+summing each integral apart; no draw changes, which a test checks against
+that separate-sum sampler.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -137,52 +144,93 @@ class OuPath:
 
 
 # named lfilter because perfbench's tracer looks it up as asymptotics.lfilter
-def lfilter(rho: float, d: np.ndarray) -> np.ndarray:
-    """Solve x[-1] = d[-1], x[i] = d[i] + rho * x[i+1] by recursive doubling.
+def lfilter(rho: float, x: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Overwrite the float64 array x, holding d, with x[-1] = d[-1], x[i] = d[i] + rho * x[i+1], by recursive doubling.
 
-    For s = 1, 2, 4, ... < len(d), a pass adds rho^s * x[i+s] to x[i], which
+    For s = 1, 2, 4, ... < len(x), a pass adds rho^s * x[i+s] to x[i], which
     turns x[i] = sum_{k<s} rho^k d[i+k] into the same sum over k < 2s.
+    ``scratch`` holds at least len(x) - 1 floats; without it one is allocated.
+    Returns x.
     """
-    x = np.array(d, dtype=np.float64)
+    n = x.size
+    if scratch is None:
+        scratch = np.empty(n)
     r, s = rho, 1
-    while s < x.size:
-        x[:-s] += r * x[s:]
+    while s < n:
+        shifted = np.multiply(x[s:], r, out=scratch[: n - s])
+        x[:-s] += shifted
         r, s = r * r, 2 * s
     return x
 
 
-def _tail_process(step: float, n: int, rng) -> tuple:
-    """Unit-intensity B~ on n + 1 points and dB_1 on the n cells, B~ at the end from its stationary law; no checks."""
-    db1 = rng.standard_normal(n) * math.sqrt(step)
-    x_end = rng.standard_normal() * math.sqrt(step / -math.expm1(-2.0 * step))
-    return lfilter(math.exp(-step), np.append(db1, x_end)), db1
+def _tail_process(step: float, rng, b_tilde: np.ndarray, db1: np.ndarray, scratch=None) -> None:
+    """Fill db1 (n cells) with dB_1 and b_tilde (n + 1 points) with unit-intensity B~, B~ at the end from its stationary law; no checks."""
+    n = db1.shape[0]
+    rng.standard_normal(out=db1)
+    db1 *= math.sqrt(step)
+    b_tilde[:n] = db1
+    b_tilde[n] = rng.standard_normal() * math.sqrt(step / -math.expm1(-2.0 * step))
+    lfilter(math.exp(-step), b_tilde, scratch)
 
 
 def sample_ou_path(c_b: float, disc: Discretization, rng: np.random.Generator) -> OuPath:
     """One natural-unit tail-process path on [0, v_max]: the standard path at step c_b * step over sqrt(c_b)."""
     scale = math.sqrt(_require_c_b(c_b, disc.v_max))
-    b_tilde, db1 = _tail_process(c_b * disc.step, disc.n_grid(), rng)
-    grid = np.arange(disc.n_grid() + 1) * disc.step
-    return OuPath(grid=grid, b_tilde=b_tilde / scale, db1=db1 / scale, c_b=c_b, step=disc.step)
+    n = disc.n_grid()
+    b_tilde, db1 = np.empty(n + 1), np.empty(n)
+    _tail_process(c_b * disc.step, rng, b_tilde, db1)
+    b_tilde /= scale
+    db1 /= scale
+    return OuPath(grid=np.arange(n + 1) * disc.step, b_tilde=b_tilde, db1=db1, c_b=c_b, step=disc.step)
 
 
-def _two_sided(t: np.ndarray, obj_neg: np.ndarray, obj_pos: np.ndarray) -> tuple:
-    """(v_grid, values) on -t[::-1], 0, t, with the objective zero at v = 0."""
-    return np.concatenate([-t[::-1], [0.0], t]), np.concatenate([obj_neg[::-1], [0.0], obj_pos])
+class _Workspace:
+    """The arrays one batch of draws reuses: the grid, and each attempt's normals and objective.
+
+    ``t`` is the grid t[k] = (k + 1) * step and ``half_t`` is 0.5 * t.  An
+    attempt overwrites every other array.  The objective is zero at v = 0,
+    ``pos[k]`` at v = t[k] and ``neg[k]`` at v = -t[k]; ``neg_rev`` is the
+    same memory as ``neg`` in ascending v, so that ``np.argmax`` breaks its
+    ties as over the whole grid.  Only the emergence law reads ``half_t``,
+    and it leaves ``db1``, ``db2``, ``b_tilde`` and ``b2`` alone.
+    """
+
+    def __init__(self, disc: Discretization):
+        n = disc.n_grid()
+        self.step = disc.step
+        self.t = np.arange(1, n + 1) * disc.step
+        self.half_t = 0.5 * self.t
+        self.db1, self.db2, self.tmp, self.pos, self.neg_rev = np.empty((5, n))
+        self.neg = self.neg_rev[::-1]
+        self.b_tilde = np.empty(n + 1)
+        self.b2 = np.zeros(n + 1)  # b2[0] = B_2(0) = 0 is never overwritten
+
+
+def _argmax_v(t: np.ndarray, neg_rev: np.ndarray, pos: np.ndarray) -> float:
+    """v at the leftmost maximum of the objective on -t[::-1], 0, t, zero at v = 0.
+
+    Each branch's argmax is leftmost within it, and a branch wins a tie only
+    against what lies to its right, so ties break as ``np.argmax`` breaks
+    them over the concatenated grid.
+    """
+    i = int(np.argmax(neg_rev))
+    k = int(np.argmax(pos))
+    if neg_rev[i] >= 0.0 and neg_rev[i] >= pos[k]:
+        return float(-t[-1 - i])
+    if pos[k] > 0.0:
+        return float(t[k])
+    return 0.0
 
 
 def _recovery_objective(
+    ws: _Workspace,
     b_tilde: np.ndarray,
     db1: np.ndarray,
     db2: np.ndarray,
-    step: float,
     psi_star_neg: float,
     psi_star_pos: float,
 ) -> tuple:
-    """Evaluate the standard (unit-intensity) recovery objective on the symmetric grid.
-
-    Returns (v_grid, values) with v ascending from -v_max to v_max; the
-    value at v = 0 is exactly zero.
+    """Evaluate the standard (unit-intensity) recovery objective into ``ws``; returns its branches (neg_rev, pos).
 
     On the negative branch the tail process anticipates B_1: B~(s)
     contains the increment dB_1 over [s, s + step) with weight one, so a
@@ -191,30 +239,45 @@ def _recovery_objective(
     increment with B~ at the next grid point, the discrete analogue of the
     lagged state multiplying the innovation, which excludes the cell's own
     increment and keeps the integral mean zero.
+
+    Each branch is one running sum of per-cell increments, its drift
+    -psi* step / 2 included: the negative branch 2 B~ dB_1 - (B~^2 - 1/2) step,
+    the positive one -(dB_2 + B_2 (dB_2 + B~(0) step + B_2 step / 2) / B~(0)) / B~(0),
+    with B_2 the running sum of dB_2 up to the cell.
     """
     n = db1.shape[0]
-    t = np.arange(1, n + 1) * step
+    step, neg, pos = ws.step, ws.neg, ws.pos
     b0 = float(b_tilde[0])
 
-    bt_next = b_tilde[1 : n + 1]
-    i1 = np.cumsum(bt_next * db1)
-    i2 = np.cumsum(bt_next * bt_next - 0.5) * step
-    c_neg = 2.0 * i1 - i2
-    obj_neg = c_neg - 0.5 * t * psi_star_neg
+    bt_next = b_tilde[1 : n + 1]  # the sum runs over half the increments and is doubled, exactly
+    np.multiply(bt_next, -0.5 * step, out=neg)
+    neg += db1
+    neg *= bt_next
+    neg += 0.25 * step * (1.0 - psi_star_neg)
+    np.cumsum(neg, out=neg)
+    neg *= 2.0
 
-    b2 = np.concatenate([[0.0], np.cumsum(db2)])
-    j1 = np.cumsum(b2[:n] * db2)
-    j2 = np.cumsum((b2[:n] / (2.0 * b0) + 1.0) * b2[:n]) * step
-    c_pos = -(b2[1:] + j1 / b0 + j2) / b0
-    obj_pos = c_pos - 0.5 * t * psi_star_pos
-    return _two_sided(t, obj_neg, obj_pos)
+    b2 = ws.b2
+    np.cumsum(db2, out=b2[1:])
+    b2_prev = b2[:n]
+    np.multiply(b2_prev, 0.5 * step, out=pos)
+    pos += db2
+    pos += b0 * step
+    pos *= b2_prev
+    pos /= b0
+    pos += db2
+    pos /= -b0
+    pos -= 0.5 * step * psi_star_pos
+    np.cumsum(pos, out=pos)
+    return ws.neg_rev, pos
 
 
-def _one_recovery_draw(disc, bn: Optional[BnDecomposition], rng) -> Optional[tuple]:
-    """One attempt: the standard recovery objective, or None if B~(0) is too small."""
-    b_tilde, db1 = _tail_process(disc.step, disc.n_grid(), rng)
-    db2 = rng.standard_normal(disc.n_grid()) * math.sqrt(disc.step)
-    b0 = float(b_tilde[0])
+def _one_recovery_draw(bn: Optional[BnDecomposition], ws: _Workspace, rng) -> Optional[tuple]:
+    """One attempt in ``ws``: the standard recovery objective's branches, or None if B~(0) is too small."""
+    _tail_process(ws.step, rng, ws.b_tilde, ws.db1, ws.tmp)
+    rng.standard_normal(out=ws.db2)
+    ws.db2 *= math.sqrt(ws.step)
+    b0 = float(ws.b_tilde[0])
     if abs(b0) < REJECTION_THRESHOLD:
         return None
     psi_neg = psi_pos = 1.0
@@ -222,7 +285,7 @@ def _one_recovery_draw(disc, bn: Optional[BnDecomposition], rng) -> Optional[tup
         psi_neg = 1.0 - bn.psi_check
         ratio = bn.psi_sq_sum / bn.psi_sum**2
         psi_pos = 1.0 + (1.0 - ratio) / (b0 * b0)
-    return _recovery_objective(b_tilde, db1, db2, disc.step, psi_neg, psi_pos)
+    return _recovery_objective(ws, ws.b_tilde, ws.db1, ws.db2, psi_neg, psi_pos)
 
 
 @dataclass(frozen=True)
@@ -233,18 +296,21 @@ class LimitSample:
     rejections: int
 
 
-def _draw_batch(one_draw, draws: int, seed: int) -> LimitSample:
-    """Argmax of one_draw(rng) -> (v_grid, values), retried on draw i's own stream while None."""
+def _draw_batch(one_draw, disc: Discretization, draws: int, seed: int) -> LimitSample:
+    """v at the argmax of one_draw(ws, rng) -> (neg_rev, pos), retried on draw i's own stream while None.
+
+    Every attempt of the batch works in one workspace ``ws``.
+    """
     if draws < 1:
         raise ConfigError([f"draws must be positive, got {draws}"])
+    ws = _Workspace(disc)
     values = np.empty(draws, dtype=np.float64)
     rejections = 0
     for i in range(draws):
         rng = stream(seed, i)
-        while (objective := one_draw(rng)) is None:
+        while (branches := one_draw(ws, rng)) is None:
             rejections += 1
-        v_grid, obj = objective
-        values[i] = v_grid[int(np.argmax(obj))]
+        values[i] = _argmax_v(ws.t, *branches)
     return LimitSample(values=values, rejections=rejections)
 
 
@@ -253,37 +319,44 @@ def recovery_limit_draws(
     draws: int = 10_000,
     disc: Discretization = Discretization(),
     seed: int = 0,
-    correction: Optional[LinearProcessCoeffs] = None,
+    correction: Union[LinearProcessCoeffs, BnDecomposition, None] = None,
 ) -> LimitSample:
     """Batch of independent recovery-limit draws: the c_b = 1 draws on ``disc`` divided by c_b.
 
+    ``correction`` is None, a ``LinearProcessCoeffs`` or its ``bn_decompose``.
     Draw i comes from the (seed, i) stream, so any subset or reordering of
     the batch reproduces the same values.
     """
     _require_c_b(c_b, disc.v_max)
-    bn = bn_decompose(correction) if correction is not None else None
-    sample = _draw_batch(partial(_one_recovery_draw, disc, bn), draws, seed)
+    bn = correction if correction is None or isinstance(correction, BnDecomposition) else bn_decompose(correction)
+    sample = _draw_batch(partial(_one_recovery_draw, bn), disc, draws, seed)
     return LimitSample(values=sample.values / c_b, rejections=sample.rejections)
 
 
-def _emergence_objective(w_left: np.ndarray, w_right: np.ndarray, level: float, step: float) -> tuple:
-    """Two-sided scaled-Brownian objective W*(v)/level - |v|/2."""
-    t = np.arange(1, w_left.shape[0] + 1) * step
-    return _two_sided(t, w_left / level - 0.5 * t, w_right / level - 0.5 * t)
+def _emergence_objective(ws: _Workspace, w_left: np.ndarray, w_right: np.ndarray, level: float) -> tuple:
+    """Two-sided scaled-Brownian objective W*(v)/level - |v|/2 into ``ws``; returns its branches (neg_rev, pos)."""
+    np.divide(w_left, level, out=ws.neg)
+    ws.neg -= ws.half_t
+    np.divide(w_right, level, out=ws.pos)
+    ws.pos -= ws.half_t
+    return ws.neg_rev, ws.pos
 
 
-def _one_emergence_draw(tau_e: float, disc: Discretization, rng) -> Optional[tuple]:
-    """One attempt: the emergence objective, or None if the level's normal factor is too small."""
-    n = disc.n_grid()
-    sqrt_step = math.sqrt(disc.step)
-    w_left = np.cumsum(rng.standard_normal(n) * sqrt_step)
-    w_right = np.cumsum(rng.standard_normal(n) * sqrt_step)
+def _one_emergence_draw(tau_e: float, ws: _Workspace, rng) -> Optional[tuple]:
+    """One attempt in ``ws``: the emergence objective's branches, or None if the level's normal factor is too small."""
+    sqrt_step = math.sqrt(ws.step)
+    rng.standard_normal(out=ws.tmp)
+    ws.tmp *= sqrt_step
+    w_left = np.cumsum(ws.tmp, out=ws.neg)
+    rng.standard_normal(out=ws.pos)
+    ws.pos *= sqrt_step
+    w_right = np.cumsum(ws.pos, out=ws.pos)
     # the normalizing level W_1(tau_e) is asymptotically independent of
     # the local window around the break, so it is drawn independently
     g = rng.standard_normal()
     if abs(g) < REJECTION_THRESHOLD:
         return None
-    return _emergence_objective(w_left, w_right, math.sqrt(tau_e) * g, disc.step)
+    return _emergence_objective(ws, w_left, w_right, math.sqrt(tau_e) * g)
 
 
 def emergence_limit_draws(
@@ -295,4 +368,4 @@ def emergence_limit_draws(
     """Batch of independent emergence-limit draws, keyed like recovery draws."""
     if not (0.0 < tau_e < 1.0):
         raise ConfigError([f"tau_e must lie in (0, 1), got {tau_e}"])
-    return _draw_batch(partial(_one_emergence_draw, tau_e, disc), draws, seed)
+    return _draw_batch(partial(_one_emergence_draw, tau_e), disc, draws, seed)

@@ -218,9 +218,8 @@ def cmd_limitdist(args) -> int:
         correction = LinearProcessCoeffs(coeffs)
     disc = Discretization(step=args.step, v_max=args.vmax)
     if args.law == "recovery":
-        sample = recovery_limit_draws(
-            args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=correction
-        )
+        bn = bn_decompose(correction) if correction is not None else None
+        sample = recovery_limit_draws(args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=bn)
         scale = args.cb
     else:
         sample = emergence_limit_draws(args.tau_e, draws=args.draws, disc=disc, seed=args.seed)
@@ -241,8 +240,7 @@ def cmd_limitdist(args) -> int:
     }
     if args.law == "recovery":
         summary["c_b"] = args.cb
-        if correction is not None:
-            bn = bn_decompose(correction)
+        if bn is not None:
             summary["psi_check"] = bn.psi_check
     else:
         summary["tau_e"] = args.tau_e

@@ -387,20 +387,20 @@ def histogram_svg(result: HistogramResult, width: int = 640, height: int = 320) 
 
 
 def write_draws_csv(path: str, values: np.ndarray) -> None:
+    rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(values.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["draw", "value"])
-        for i, v in enumerate(values):
-            writer.writerow([i, repr(float(v))])
+        fh.write("draw,value\r\n" + rows)
 
 
 def write_draw_histogram_csv(path: str, values: np.ndarray, n_bins: int = 50) -> None:
     counts, edges = np.histogram(values, bins=n_bins)
     total = values.shape[0]
+    edges = edges.tolist()
+    text = [repr(e) for e in edges]
+    rows = ["bin_lo,bin_hi,count,density\r\n"]
+    for i, c in enumerate(counts.tolist()):
+        w = edges[i + 1] - edges[i]
+        density = c / (total * w) if w > 0 and total > 0 else math.nan
+        rows.append(f"{text[i]},{text[i + 1]},{c},{density:.8g}\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count", "density"])
-        for i, c in enumerate(counts):
-            w = edges[i + 1] - edges[i]
-            density = c / (total * w) if w > 0 and total > 0 else math.nan
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c), f"{density:.8g}"])
+        fh.write("".join(rows))

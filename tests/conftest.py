@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from bubbledate import recovery_limit_draws
+from bubbledate import asymptotics, bn_decompose, recovery_limit_draws
+from bubbledate.rng import stream
 
 # mirror of the library's guards, applied to independently computed sums
 TIE_REL = 1e-9
@@ -190,6 +191,86 @@ def three_phase_tent(T=40, k_e=16, k_c=24, k_r=32, up=1.2, down=0.8):
         values[t - 1] = values[t - 2] * down
     values[k_r:] = values[k_r - 1]
     return values
+
+
+def two_sided(t, neg_rev, pos):
+    """(v_grid, values) on -t[::-1], 0, t from the branches in ascending v, zero at v = 0."""
+    return np.concatenate([-t[::-1], [0.0], t]), np.concatenate([neg_rev, [0.0], pos])
+
+
+def _doubling_filter(rho, d):
+    """The library's recursive doubling on a fresh copy: draws must match it bit for bit, which a sequential loop does not."""
+    x = np.array(d, dtype=np.float64)
+    r, s = rho, 1
+    while s < x.size:
+        x[:-s] += r * x[s:]
+        r, s = r * r, 2 * s
+    return x
+
+
+def _naive_draws(one_draw, draws, seed):
+    """v_grid[np.argmax(values)] of one_draw(rng) on stream (seed, i), redrawn on that stream while None."""
+    values = np.empty(draws)
+    rejections = 0
+    for i in range(draws):
+        rng = stream(seed, i)
+        while (objective := one_draw(rng)) is None:
+            rejections += 1
+        v_grid, obj = objective
+        values[i] = v_grid[int(np.argmax(obj))]
+    return values, rejections
+
+
+def naive_recovery_draws(c_b, draws, disc, seed, correction=None):
+    """Recovery draws by five separate running sums on fresh arrays, the whole grid built and one np.argmax per draw.
+
+    Returns (values, rejections), to be equal bit for bit to ``recovery_limit_draws``.
+    """
+    n, step = disc.n_grid(), disc.step
+    bn = bn_decompose(correction) if correction is not None else None
+    t = np.arange(1, n + 1) * step
+
+    def one_draw(rng):
+        db1 = rng.standard_normal(n) * math.sqrt(step)
+        x_end = rng.standard_normal() * math.sqrt(step / -math.expm1(-2.0 * step))
+        b_tilde = _doubling_filter(math.exp(-step), np.append(db1, x_end))
+        db2 = rng.standard_normal(n) * math.sqrt(step)
+        b0 = float(b_tilde[0])
+        if abs(b0) < asymptotics.REJECTION_THRESHOLD:
+            return None
+        psi_neg = psi_pos = 1.0
+        if bn is not None:
+            psi_neg = 1.0 - bn.psi_check
+            psi_pos = 1.0 + (1.0 - bn.psi_sq_sum / bn.psi_sum**2) / (b0 * b0)
+        bt_next = b_tilde[1:]
+        i1 = np.cumsum(bt_next * db1)
+        i2 = np.cumsum(bt_next * bt_next - 0.5) * step
+        obj_neg = 2.0 * i1 - i2 - 0.5 * t * psi_neg
+        b2 = np.concatenate([[0.0], np.cumsum(db2)])
+        j1 = np.cumsum(b2[:n] * db2)
+        j2 = np.cumsum((b2[:n] / (2.0 * b0) + 1.0) * b2[:n]) * step
+        obj_pos = -(b2[1:] + j1 / b0 + j2) / b0 - 0.5 * t * psi_pos
+        return two_sided(t, obj_neg[::-1], obj_pos)
+
+    values, rejections = _naive_draws(one_draw, draws, seed)
+    return values / c_b, rejections
+
+
+def naive_emergence_draws(tau_e, draws, disc, seed):
+    """Emergence draws on fresh arrays, the whole grid built and one np.argmax per draw; returns (values, rejections)."""
+    n, step = disc.n_grid(), disc.step
+    t = np.arange(1, n + 1) * step
+
+    def one_draw(rng):
+        w_left = np.cumsum(rng.standard_normal(n) * math.sqrt(step))
+        w_right = np.cumsum(rng.standard_normal(n) * math.sqrt(step))
+        g = rng.standard_normal()
+        if abs(g) < asymptotics.REJECTION_THRESHOLD:
+            return None
+        level = math.sqrt(tau_e) * g
+        return two_sided(t, (w_left / level - 0.5 * t)[::-1], w_right / level - 0.5 * t)
+
+    return _naive_draws(one_draw, draws, seed)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import naive_backward_recursion
+from conftest import naive_backward_recursion, naive_emergence_draws, naive_recovery_draws, two_sided
 
 from bubbledate import (
     ConfigError,
@@ -18,7 +18,8 @@ from bubbledate import (
     recovery_limit_draws,
     sample_ou_path,
 )
-from bubbledate.asymptotics import _emergence_objective, _recovery_objective, lfilter
+from bubbledate import asymptotics
+from bubbledate.asymptotics import _argmax_v, _emergence_objective, _recovery_objective, _Workspace, lfilter
 from bubbledate.rng import stream
 
 N_DRAWS = 10_000
@@ -103,6 +104,95 @@ def test_golden_draws(make, digest):
     sample = make()
     assert sample.rejections == 0
     assert hashlib.sha256(sample.values.tobytes()).hexdigest() == digest
+
+
+PSI = LinearProcessCoeffs((1.0, 0.5))
+ORACLE_CASES = [
+    pytest.param("recovery", dict(c_b=1.0, disc=Discretization(), seed=41), id="recovery"),
+    pytest.param("recovery", dict(c_b=1.0, disc=Discretization(), seed=42, correction=PSI), id="recovery-corrected"),
+    pytest.param("recovery", dict(c_b=0.2, disc=Discretization(), seed=43), id="recovery-cb0.2"),
+    pytest.param(
+        "recovery", dict(c_b=0.2, disc=Discretization(), seed=44, correction=PSI), id="recovery-cb0.2-corrected"
+    ),
+    pytest.param("recovery", dict(c_b=1.0, disc=Discretization(step=0.005, v_max=5.0), seed=45), id="recovery-fine-grid"),
+    pytest.param("emergence", dict(tau_e=0.4, disc=Discretization(), seed=46), id="emergence"),
+    pytest.param(
+        "emergence", dict(tau_e=0.4, disc=Discretization(step=0.01, v_max=2.0), seed=47), id="emergence-short-window"
+    ),
+]
+
+
+class TestDrawsMatchOracle:
+    """The in-place kernels and their fused sums reproduce the concatenate-and-argmax sampler bit for bit."""
+
+    @pytest.mark.parametrize("law, kw", ORACLE_CASES)
+    def test_values_and_rejections_equal(self, law, kw):
+        kw = dict(kw, draws=200)
+        if law == "recovery":
+            got = recovery_limit_draws(**kw)
+            want = naive_recovery_draws(**kw)
+        else:
+            got = emergence_limit_draws(**kw)
+            want = naive_emergence_draws(**kw)
+        assert np.array_equal(got.values, want[0])
+        assert got.rejections == want[1]
+
+    def test_retries_reuse_the_workspace(self, monkeypatch):
+        # a third of the tail processes start below 0.3, so retries land mid-batch
+        monkeypatch.setattr(asymptotics, "REJECTION_THRESHOLD", 0.3)
+        kw = dict(c_b=1.0, draws=200, disc=Discretization(), seed=48, correction=PSI)
+        got = recovery_limit_draws(**kw)
+        values, rejections = naive_recovery_draws(**kw)
+        assert rejections >= 50
+        assert got.rejections == rejections
+        assert np.array_equal(got.values, values)
+
+
+TIED_BRANCHES = [
+    pytest.param([-1.0, 0.0, -2.0], [-1.0, -3.0, -0.5], id="negative-max-equals-origin"),
+    pytest.param([1.0, 2.0, 0.5], [0.5, 2.0, 1.0], id="negative-max-equals-positive-max"),
+    pytest.param([2.0, -1.0, 2.0], [1.0, 1.5, 0.0], id="repeated-negative-max"),
+    pytest.param([-1.0, -2.0, -3.0], [1.0, 3.0, 3.0], id="repeated-positive-max"),
+    pytest.param([-1.0, -2.0, -3.0], [0.0, -1.0, 0.0], id="positive-max-equals-origin"),
+    pytest.param([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], id="flat"),
+]
+
+
+class TestTwoSidedArgmax:
+    @pytest.mark.parametrize("neg_rev, pos", TIED_BRANCHES)
+    def test_ties_break_as_over_the_whole_grid(self, neg_rev, pos):
+        t = np.array([0.5, 1.0, 1.5])
+        neg_rev, pos = np.array(neg_rev), np.array(pos)
+        v_grid, values = two_sided(t, neg_rev, pos)
+        assert _argmax_v(t, neg_rev, pos) == v_grid[np.argmax(values)]
+
+    def test_small_integer_branches(self):
+        rng = stream(49)
+        t = np.arange(1, 6) * 0.25
+        for _ in range(2000):
+            neg_rev, pos = rng.integers(-2, 3, size=(2, 5)).astype(np.float64)
+            v_grid, values = two_sided(t, neg_rev, pos)
+            assert _argmax_v(t, neg_rev, pos) == v_grid[np.argmax(values)]
+
+
+class TestNoSharedMemory:
+    def test_ou_paths(self):
+        disc = Discretization(step=0.01, v_max=1.0)
+        a, b = sample_ou_path(1.0, disc, stream(50)), sample_ou_path(1.0, disc, stream(50))
+        arrays = [a.grid, a.b_tilde, a.db1, b.grid, b.b_tilde, b.db1]
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1 :]:
+                assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("draw", [
+        lambda: recovery_limit_draws(1.0, draws=3, seed=51),
+        lambda: recovery_limit_draws(0.5, draws=3, seed=51, correction=PSI),
+        lambda: emergence_limit_draws(0.4, draws=3, seed=51),
+    ])
+    def test_limit_batches(self, draw):
+        first, second = draw(), draw()
+        assert not np.shares_memory(first.values, second.values)
+        assert np.array_equal(first.values, second.values)
 
 
 class TestDiscretization:
@@ -241,7 +331,8 @@ class TestRecoveryObjective:
         disc = Discretization(step=0.01, v_max=1.0)
         path = sample_ou_path(1.0, disc, stream(21))
         db2 = stream(22).standard_normal(100) * math.sqrt(0.01)
-        v_grid, values = _recovery_objective(path.b_tilde, path.db1, db2, 0.01, 1.0, 1.0)
+        ws = _Workspace(disc)
+        v_grid, values = two_sided(ws.t, *_recovery_objective(ws, path.b_tilde, path.db1, db2, 1.0, 1.0))
         assert v_grid.shape == values.shape == (201,)
         assert v_grid[100] == 0.0
         assert values[100] == 0.0
@@ -344,11 +435,12 @@ class TestEmergenceObjective:
         w_left = np.cumsum(rng.standard_normal(n)) * 0.1
         w_right = np.cumsum(rng.standard_normal(n)) * 0.1
         level = 0.7
-        v_grid, values = _emergence_objective(w_left, w_right, level, 0.01)
+        ws = _Workspace(Discretization(step=0.01, v_max=2.0))
+        v_grid, values = two_sided(ws.t, *_emergence_objective(ws, w_left, w_right, level))
         assert v_grid[n] == 0.0
         assert values[n] == 0.0
         # a power-of-two factor cancels exactly in the ratio
-        _, scaled = _emergence_objective(4.0 * w_left, 4.0 * w_right, 4.0 * level, 0.01)
+        _, scaled = two_sided(ws.t, *_emergence_objective(ws, 4.0 * w_left, 4.0 * w_right, 4.0 * level))
         assert np.array_equal(values, scaled)
 
 

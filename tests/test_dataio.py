@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 
@@ -403,6 +404,19 @@ class TestResultWriters:
         back = np.array([float(r[1]) for r in rows[1:]])
         assert np.array_equal(back, values)
         assert [int(r[0]) for r in rows[1:]] == list(range(25))
+
+    def test_draw_files_are_pinned_bytewise(self, tmp_path):
+        # digests of the files the csv-module writers made; signed zeros and a
+        # tiny value exercise the repr of each draw and bin edge
+        values = stream(2024).standard_normal(20) * 7.5
+        values[3], values[7], values[11] = 0.0, -0.0, 1e-300
+        for write, digest in (
+            (write_draws_csv, "4d883e10a75eabc98ec19dd76eabdc5d87bbc02474cc93f5d64a6c6ef9cf75a6"),
+            (write_draw_histogram_csv, "a0872251491ada03ee437c32a259167bff07a115490474f30c9ac7bec40738f4"),
+        ):
+            path = tmp_path / "draws.csv"
+            write(str(path), values)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_draw_histogram_density_integrates_to_one(self, tmp_path):
         values = stream(8).normal(size=500)
