@@ -10,8 +10,9 @@ recovery to a unit root.
 Series of one length are dated together as a tile, a (rows, T) matrix,
 by ``estimate_tile``; ``estimate_dates`` and ``bic_select`` date one
 series as a one-row tile.  Both paths read their dates, unavailable
-reasons and segment SSRs off the scans through one reader,
-``_read_scans``; the one-row path adds the ranges and SSR curves.
+reasons and segment SSRs off the scans as arrays through one reader,
+``_read_scans``; the one-row path adds the ranges and SSR curves.  Both
+choose among the regime models by one BIC rule, ``_bic``.
 
 Every scan reads recursive-residual passes, each an O(T) read along the
 time axis that gives every prefix's SSR: a forward and a backward read of
@@ -132,31 +133,34 @@ class BicReport:
     estimates: BreakEstimates = field(repr=False)
 
 
+# The unavailable reasons of ``TileEstimates.reasons``, by code; 0 is an
+# available date.
+REASONS = (None, UnavailableReason.BOUNDARY_VIOLATION, UnavailableReason.DEGENERATE)
+
+
 @dataclass(frozen=True)
 class TileEstimates:
     """Break dates of every row of a tile, as ``estimate_tile`` returns them.
 
-    Each field but ``n_obs`` (the regression sample size) lists one entry
-    per row, named and valued as in ``BreakEstimates``: a date and its
-    segment SSRs are None where the date is unavailable, and the reasons
-    say why.  A row fails, with every entry None, exactly where
-    ``estimate_dates`` on that row raises.
+    ``n_obs`` is the regression sample size.  ``dates`` is (rows, 3): each
+    row's collapse, emergence and recovery date (``k_c_hat``, ``k_e_hat``,
+    ``k_r_hat`` of ``BreakEstimates``), 0 where the date is unavailable.
+    ``reasons`` is (rows, 2): why the emergence and recovery dates are
+    unavailable, as positions in ``REASONS``.  ``segment_ssr`` is
+    (rows, 3, 2): each date's two segment SSRs, NaN where it is
+    unavailable.  ``failed`` marks the rows on which ``estimate_dates``
+    raises; they have no date and no reason.
     """
 
     n_obs: int
-    k_c_hat: list
-    k_e_hat: list
-    k_r_hat: list
-    unavailable_reason_e: list
-    unavailable_reason_r: list
-    segment_ssr_c: list
-    segment_ssr_e: list
-    segment_ssr_r: list
+    dates: np.ndarray
+    reasons: np.ndarray
+    segment_ssr: np.ndarray
+    failed: np.ndarray
 
-    def chosen_indices(self) -> list:
-        """Each row's ``bic_select`` model choice as its position in ``ModelChoice``, None for a failed row."""
-        return [None if c is None else _choose(_bic_values(self.n_obs, c, e, r))
-                for c, e, r in zip(self.segment_ssr_c, self.segment_ssr_e, self.segment_ssr_r)]
+    def chosen_indices(self) -> np.ndarray:
+        """Each row's ``bic_select`` model choice as its position in ``ModelChoice``, -1 for a failed row."""
+        return np.where(self.failed, -1, _bic(self.n_obs, self.segment_ssr).argmin(axis=1))
 
 
 def _tile_pairs(values: np.ndarray, y0) -> np.ndarray:
@@ -333,33 +337,21 @@ def _tile_scans(values: np.ndarray, y0, trimming: TrimmingPolicy) -> tuple:
     return collapse, emergence, recovery
 
 
-def _read_scans(scans: tuple, failed: np.ndarray) -> list:
-    """Each row's dates, unavailable reasons and segment SSRs, as lists in
-    ``TileEstimates`` field order, from a tile's three scans.
+def _read_scans(scans: tuple, failed: np.ndarray) -> tuple:
+    """The ``TileEstimates`` fields after ``n_obs`` of a tile, from its three scans.
 
-    A row fails, with every entry None, where ``failed`` is set or its
-    collapse scan found no minimizer.  A subsample date is unavailable
-    as a boundary violation where its range is empty, and as degenerate
-    where every candidate in it has a degenerate segment.
+    A row fails where ``failed`` is set or its collapse scan found no
+    minimizer.  A subsample date is unavailable as a boundary violation
+    where its range is empty, and as degenerate where every candidate in
+    it has a degenerate segment.
     """
-    collapse, emergence, recovery = scans
-    dated = collapse.found & ~failed
-    dated_rows = dated.tolist()
-
-    def dates(scan):
-        """A scan's date and segment SSRs for each row, None where unavailable."""
-        found = (scan.found & dated).tolist()
-        segments = zip(scan.left_ssr.tolist(), scan.right_ssr.tolist())
-        return ([k if f else None for k, f in zip(scan.k_hat.tolist(), found)],
-                [s if f else None for s, f in zip(segments, found)])
-
-    def reasons(scan):
-        found, empty = scan.found.tolist(), (scan.lo > scan.hi).tolist()
-        return [None if f or not d else UnavailableReason.BOUNDARY_VIOLATION if x else UnavailableReason.DEGENERATE
-                for f, d, x in zip(found, dated_rows, empty)]
-
-    (k_c, seg_c), (k_e, seg_e), (k_r, seg_r) = dates(collapse), dates(emergence), dates(recovery)
-    return [k_c, k_e, k_r, reasons(emergence), reasons(recovery), seg_c, seg_e, seg_r]
+    failed = failed | ~scans[0].found
+    found = np.array([s.found for s in scans]).T & ~failed[:, np.newaxis]
+    dates = np.where(found, np.array([s.k_hat for s in scans]).T, 0)
+    empty = np.array([s.lo > s.hi for s in scans[1:]]).T
+    reasons = np.where(found[:, 1:] | failed[:, np.newaxis], 0, np.where(empty, 1, 2))
+    segments = np.array([(s.left_ssr, s.right_ssr) for s in scans]).transpose(2, 0, 1)
+    return dates, reasons, np.where(found[..., np.newaxis], segments, np.nan), failed
 
 
 def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) -> TileEstimates:
@@ -373,7 +365,7 @@ def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) 
     admissible collapse candidate) fails without affecting the others.
     Input that is not a 2-d tile of real numbers, or a ``y0`` of another
     form, raises ``SeriesValidationError``; a tile without rows gives empty
-    lists.
+    arrays.
     """
     values = _float_values(values)
     if values.ndim != 2:
@@ -389,7 +381,8 @@ def estimate_tile(values, y0=None, trimming: TrimmingPolicy = TrimmingPolicy()) 
         failed |= ~np.isfinite(y0)
     n_obs = T if y0 is not None else T - 1
     if T < MIN_ESTIMATION_LENGTH or rows == 0:
-        return TileEstimates(n_obs, *([None] * rows for _ in range(8)))
+        return TileEstimates(n_obs, np.zeros((rows, 3), int), np.zeros((rows, 2), int),
+                             np.full((rows, 3, 2), np.nan), np.ones(rows, bool))
     if failed.any():
         values = np.where(failed[:, np.newaxis], 0.0, values)
         y0 = None if y0 is None else np.where(failed, 0.0, y0)
@@ -420,10 +413,13 @@ def estimate_dates(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) 
     if T < MIN_ESTIMATION_LENGTH:
         raise SeriesValidationError([TooShort(T)])
     scans = _tile_scans(series.values[np.newaxis], series.y0, trimming)
-    k_c, k_e, k_r, reason_e, reason_r, seg_c, seg_e, seg_r = (x[0] for x in _read_scans(scans, np.zeros(1, bool)))
+    dates, reasons, segment_ssr, failed = (x[0].tolist() for x in _read_scans(scans, np.zeros(1, bool)))
     range_c, range_e, range_r = (None if s.lo[0] > s.hi[0] else (int(s.lo[0]), int(s.hi[0])) for s in scans)
-    if k_c is None:
+    if failed:
         raise DegenerateSegmentError(f"every candidate in [{range_c[0]}, {range_c[1]}] has a degenerate segment")
+    k_c, k_e, k_r = (k or None for k in dates)
+    reason_e, reason_r = (REASONS[r] for r in reasons)
+    seg_c, seg_e, seg_r = (tuple(seg) if k else None for k, seg in zip(dates, segment_ssr))
     curve_c, curve_e, curve_r = (None if k is None else _curve(s, 0) for s, k in zip(scans, (k_c, k_e, k_r)))
     return BreakEstimates(
         k_c_hat=k_c,
@@ -443,35 +439,30 @@ def estimate_dates(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) 
     )
 
 
-def _bic_value(ssr: float, n: int, n_params: int) -> float:
-    if ssr <= 0.0:
-        return -math.inf
-    return n * math.log(ssr / n) + n_params * math.log(n)
-
-
-def _bic_values(n: int, seg_c, seg_e, seg_r) -> list:
-    """BIC of each model in ``ModelChoice`` order, from the scans' segment
-    SSRs (None where a date is unavailable).
+def _bic(n: int, segment_ssr: np.ndarray) -> np.ndarray:
+    """(rows, 3) BIC of each row's models in ``ModelChoice`` order, from
+    its (rows, 3, 2) segment SSRs, NaN where a date is unavailable.
 
     Model SSRs are sums of segment SSRs, added left to right in date order.
+    A model's BIC is +inf where a date is unavailable and -inf where its
+    SSR is 0.  The logs are ``math.log``'s, which ``np.log`` can miss in
+    the last bit; where SSR / N underflows to 0, ln(SSR / N) is
+    ln(SSR) - ln(N).
     """
-    ssr_a, ssr_b = seg_c
-    bic = [_bic_value(ssr_a + ssr_b, n, 3), math.inf, math.inf]
-    if seg_e is not None:
-        ssr_ab = seg_e[0] + seg_e[1]
-        bic[1] = _bic_value(ssr_ab + ssr_b, n, 5)
-        if seg_r is not None:
-            bic[2] = _bic_value(ssr_ab + seg_r[0] + seg_r[1], n, 7)
-    return bic
+    (c_a, c_b), (e_a, e_b), (r_a, r_b) = segment_ssr.transpose(1, 2, 0)
+    e_ab = e_a + e_b
+    ssr = np.stack([c_a + c_b, e_ab + c_b, e_ab + r_a + r_b], axis=1)
 
+    def log_ratio(s: float) -> float:
+        if math.isnan(s):
+            return math.inf
+        if s == 0.0:
+            return -math.inf
+        q = s / n
+        return math.log(q) if q > 0.0 else math.log(s) - math.log(n)
 
-def _choose(bic: list) -> int:
-    """Position of the chosen model in ``ModelChoice``."""
-    chosen = 0
-    for model in (1, 2):
-        if bic[model] < bic[chosen]:  # strict: ties stay with fewer regimes
-            chosen = model
-    return chosen
+    logs = np.array([log_ratio(s) for s in ssr.ravel().tolist()]).reshape(ssr.shape)
+    return n * logs + math.log(n) * np.array([3, 5, 7])
 
 
 def bic_select(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) -> BicReport:
@@ -491,6 +482,8 @@ def bic_select(series: Series, trimming: TrimmingPolicy = TrimmingPolicy()) -> B
     dates = {ModelChoice.TWO_REGIME: (k_c,),
              ModelChoice.THREE_REGIME: None if k_e is None else (k_e, k_c),
              ModelChoice.FOUR_REGIME: None if k_e is None or k_r is None else (k_e, k_c, k_r)}
-    bic = _bic_values(n, est.segment_ssr_c, est.segment_ssr_e, est.segment_ssr_r)
-    return BicReport(bic=dict(zip(ModelChoice, bic)), chosen=list(ModelChoice)[_choose(bic)], dates=dates,
-                     n_obs=n, estimates=est)
+    segment_ssr = [(math.nan,) * 2 if seg is None else seg
+                   for seg in (est.segment_ssr_c, est.segment_ssr_e, est.segment_ssr_r)]
+    bic = _bic(n, np.array([segment_ssr]))[0]
+    return BicReport(bic=dict(zip(ModelChoice, bic.tolist())), chosen=list(ModelChoice)[bic.argmin()],
+                     dates=dates, n_obs=n, estimates=est)

@@ -11,22 +11,21 @@ The unit of work is a (T, replication block): the block draws each
 replication's errors once into one (rows, T) matrix, shared by every cell
 with that T.  One regime recursion runs all of the T's distinct cells on
 those rows at once, and ``estimate_tile`` dates each distinct cell's rows
-in tiles of ``TILE_ROWS`` rows.  A block returns one Counter tally per
-distinct cell, and a cell's tally is the sum of its blocks'; a cell that
-the grid lists twice (the anchor pair sits in both sweep arms) is
-simulated and dated once and reports the same tally at both positions.
+in tiles of ``TILE_ROWS`` rows.  A block returns one tally per distinct
+cell, an int array of counts by date (and by model choice), and a cell's
+tally is the sum of its blocks'; a cell that the grid lists twice (the
+anchor pair sits in both sweep arms) is simulated and dated once and
+reports the same tally at both positions.
 A run with n workers runs every n-th block in the calling process and the
 rest on a pool of n - 1 worker processes, which later runs reuse.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
@@ -175,11 +174,8 @@ class ExperimentResult:
 # system and faults them back in.  Peak memory grows with the tile.
 TILE_ROWS = 16
 
-_ESTIMATE_FIELD = {
-    Target.COLLAPSE: "k_c_hat",
-    Target.EMERGENCE: "k_e_hat",
-    Target.RECOVERY: "k_r_hat",
-}
+# Each target's column in ``TileEstimates.dates``.
+_DATE_COLUMN = {Target.COLLAPSE: 0, Target.EMERGENCE: 1, Target.RECOVERY: 2}
 
 
 def _run_block(config: ExperimentConfig, T: int, rep_lo: int, rep_hi: int) -> dict:
@@ -187,12 +183,13 @@ def _run_block(config: ExperimentConfig, T: int, rep_lo: int, rep_hi: int) -> di
 
     Replication r draws its errors from its own (base_seed, r, 0) stream,
     once for all of these cells, and one regime recursion runs every
-    distinct cell's paths on them.  Each cell's tally counts
-    ``(target.value, k_hat)`` and ``("bic", model index)`` keys (an enum
-    member would hash in Python), with ``None`` for an unavailable date or
-    a failed replication.  Returns the tallies keyed by
-    cell, in cell order.  Tallies are commutative, so blocks merge in any
-    order.
+    distinct cell's paths on them.  Each cell's tally is a
+    (targets + bic, T + 1) int array: row i counts target i's dates, with
+    unavailable dates and failed replications in column 0, and the last
+    row, with BIC on, counts failed replications in column 0 and model m
+    of ``ModelChoice`` in column m + 1.  The counts are taken once per
+    cell over the block's tiles.  Returns the tallies keyed by cell, in
+    cell order.  Tallies add, so blocks merge in any order.
     """
     errors = np.empty((rep_hi - rep_lo, T))
     for i, rep in enumerate(range(rep_lo, rep_hi)):
@@ -206,19 +203,19 @@ def _run_block(config: ExperimentConfig, T: int, rep_lo: int, rep_hi: int) -> di
     )
     tallies = {}
     for c, cell in enumerate(cells):
-        tally: Counter = Counter()
+        tiles = []
         for lo in range(0, errors.shape[0], TILE_ROWS):
             tile = np.ascontiguousarray(paths[:, c, lo:lo + TILE_ROWS].T)
-            est = estimate_tile(tile[:, 1:], tile[:, 0], config.trimming)
-            for t in config.targets:
-                tally.update(zip(repeat(t.value), getattr(est, _ESTIMATE_FIELD[t])))
-            if config.bic:
-                tally.update(zip(repeat("bic"), est.chosen_indices()))
-        tallies[cell] = tally
+            tiles.append(estimate_tile(tile[:, 1:], tile[:, 0], config.trimming))
+        dates = np.concatenate([est.dates for est in tiles])
+        counted = [dates[:, _DATE_COLUMN[t]] for t in config.targets]
+        if config.bic:
+            counted.append(np.concatenate([est.chosen_indices() for est in tiles]) + 1)
+        tallies[cell] = np.array([np.bincount(x, minlength=T + 1) for x in counted])
     return tallies
 
 
-def _add_cell(result: ExperimentResult, cell: CellKey, tally: Counter) -> None:
+def _add_cell(result: ExperimentResult, cell: CellKey, tally: np.ndarray) -> None:
     """Append one cell's histograms and BIC tally, built from its summed tally."""
     config = result.config
     breaks = config.cell_dgp(cell).break_indices
@@ -228,18 +225,19 @@ def _add_cell(result: ExperimentResult, cell: CellKey, tally: Counter) -> None:
             cell=cell,
             target=t,
             true_date=true_date[t],
-            bins=dict(sorted((k, n) for (key, k), n in tally.items() if key == t.value and k is not None)),
-            unavailable=tally[t.value, None],
+            bins={int(k): int(counts[k]) for k in np.flatnonzero(counts[1:]) + 1},
+            unavailable=int(counts[0]),
             reps=config.reps,
         )
-        for t in config.targets
+        for t, counts in zip(config.targets, tally)
     )
     if config.bic:
+        counts = tally[-1].tolist()
         result.bic_tallies.append(
             BicTally(
                 cell=cell,
-                counts={m: tally["bic", i] for i, m in enumerate(ModelChoice)},
-                failed=tally["bic", None],
+                counts=dict(zip(ModelChoice, counts[1:])),
+                failed=counts[0],
                 reps=config.reps,
             )
         )
@@ -306,10 +304,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     finally:
         for future in futures.values():
             future.cancel()
-    cell_tallies = defaultdict(Counter)
+    cell_tallies = {}
     for tallies in outcomes:
         for cell, tally in tallies.items():
-            cell_tallies[cell].update(tally)
+            cell_tallies[cell] = cell_tallies.get(cell, 0) + tally
     result = ExperimentResult(config=config, histograms=[])
     for cell in cells:
         _add_cell(result, cell, cell_tallies[cell])

@@ -108,6 +108,15 @@ class TestEstimateCommand:
         values = json.loads(capsys.readouterr().out)["bic"]["values"]
         assert None not in values.values()
 
+    def test_bic_on_underflowing_ssr(self, tmp_path, capsys):
+        # every SSR / N underflows to 0; the BIC values stay finite
+        path = tmp_path / "tiny.csv"
+        write_value_csv(path, 1e-162 * np.random.default_rng(3).normal(size=200).cumsum())
+        assert main(["estimate", str(path), "--bic"]) in (0, 3)
+        bic = json.loads(capsys.readouterr().out)["bic"]
+        assert bic["values"]["two_regime"] is not None
+        assert bic["chosen"] in bic["values"]
+
     def test_bic_estimates_once(self, tmp_path, capsys, monkeypatch):
         import bubbledate.estimator as estimator
 

@@ -28,6 +28,7 @@ from bubbledate import (
     Series,
     SeriesValidationError,
     SingleShiftVolatility,
+    TileEstimates,
     TrimmingPolicy,
     UnavailableReason,
     VolatilityScaled,
@@ -38,7 +39,7 @@ from bubbledate import (
     simulate,
     ssr_split,
 )
-from bubbledate.estimator import _curve, _pass, _scan, _tile_pairs, _tile_scans
+from bubbledate.estimator import REASONS, _curve, _pass, _scan, _tile_pairs, _tile_scans
 from bubbledate.rng import stream
 from bubbledate.types import MIN_ESTIMATION_LENGTH
 
@@ -397,6 +398,60 @@ class TestBicSelect:
         assert bic_select(Series(values)).n_obs == 49
         assert bic_select(Series(values, y0=0.0)).n_obs == 50
 
+    def test_ties_go_to_fewer_regimes(self, monkeypatch):
+        # bic_select and a tile's chosen_indices share one BIC rule; of
+        # equal BICs, finite or infinite, the model with fewer regimes wins
+        import bubbledate.estimator as estimator
+
+        n = 39
+
+        def tie(ssr, params, more_params):
+            """An SSR whose BIC with ``more_params`` equals, bit for bit, that of ``ssr`` with ``params``."""
+            want = n * math.log(ssr / n) + params * math.log(n)
+            lo = hi = ssr * n ** ((params - more_params) / n)
+            for _ in range(200):
+                for s in (lo, hi):
+                    if n * math.log(s / n) + more_params * math.log(n) == want:
+                        return s
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+            raise AssertionError(f"no exact tie near {ssr}")
+
+        nan = (math.nan, math.nan)
+        rows = [  # the collapse, emergence and recovery segment SSRs, and the choice
+            ([(4.0, 0.0), (tie(4.0, 3, 5), 0.0), nan], 0),  # two = three regimes, four unavailable
+            ([(1e6, 4.0), (0.0, 0.0), (tie(4.0, 5, 7), 0.0)], 1),  # three = four regimes
+            ([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)], 0),  # three exact fits
+            ([(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)], 1),  # exact three- and four-regime fits
+            ([(math.inf, 0.0), nan, nan], 0),  # an overflowed SSR and two unavailable models
+        ]
+        segment_ssr = np.array([segments for segments, _ in rows])
+        tile = TileEstimates(n, np.zeros((len(rows), 3), int), np.zeros((len(rows), 2), int), segment_ssr,
+                             np.zeros(len(rows), bool))
+        assert tile.chosen_indices().tolist() == [chosen for _, chosen in rows]
+        series = Series(three_phase_tent())
+        est = estimate_dates(series)
+        for segments, chosen in rows:
+            c, e, r = (None if math.isnan(seg[0]) else seg for seg in segments)
+            fed = dataclasses.replace(est, segment_ssr_c=c, segment_ssr_e=e, segment_ssr_r=r)
+            monkeypatch.setattr(estimator, "estimate_dates", lambda *args, fed=fed: fed)
+            report = bic_select(series)
+            bic = list(report.bic.values())
+            assert bic.count(min(bic)) >= 2, segments
+            assert report.chosen is list(ModelChoice)[chosen], segments
+
+    def test_underflowing_ssr_gives_finite_bic(self):
+        # a positive SSR / N that underflows to 0 takes ln(SSR) - ln(N),
+        # not a math domain error
+        values = np.array([1e-162 * stream(seed).normal(size=200).cumsum() for seed in range(8)])
+        for row in values:
+            report = bic_select(Series(row, y0=0.0))
+            est = report.estimates
+            ssr = sum(est.segment_ssr_c)
+            assert ssr > 0.0 and ssr / report.n_obs == 0.0
+            for model, dates in report.dates.items():
+                assert math.isfinite(report.bic[model]) == (dates is not None), model
+        assert assert_rows_match_one_row_calls(values, np.zeros(len(values))) == 0
+
 
 def refit_bic(series, est):
     """BIC of each model by refitting every segment with a fresh ``_pass``.
@@ -528,14 +583,18 @@ def contract_tile():
 
 
 def tile_record(tile):
-    """A tile's per-row results with every SSR as its float's hex form."""
+    """A tile's per-row results in ``BreakEstimates`` form: the collapse,
+    emergence and recovery dates, the two unavailable reasons, the three
+    segment SSR pairs as their floats' hex forms, and the model choice,
+    each None where the tile marks it unavailable or the row failed.
+    """
     def bits(seg):
-        return None if seg is None else tuple(float(v).hex() for v in seg)
+        return None if math.isnan(seg[0]) else tuple(v.hex() for v in seg)
 
-    fields = ("k_c_hat", "k_e_hat", "k_r_hat", "unavailable_reason_e", "unavailable_reason_r")
-    record = [getattr(tile, f) for f in fields]
-    record += [[bits(seg) for seg in getattr(tile, f"segment_ssr_{x}")] for x in "cer"]
-    return record + [tile.chosen_indices()]
+    record = [[k or None for k in dates] for dates in tile.dates.T.tolist()]
+    record += [[REASONS[r] for r in reasons] for reasons in tile.reasons.T.tolist()]
+    record += [[bits(seg) for seg in segs] for segs in tile.segment_ssr.transpose(1, 0, 2).tolist()]
+    return record + [[None if i < 0 else i for i in tile.chosen_indices().tolist()]]
 
 
 def assert_rows_match_one_row_calls(values, y0):
@@ -543,24 +602,23 @@ def assert_rows_match_one_row_calls(values, y0):
     ``bic_select``, bit for bit.  Returns the number of rows on which the
     one-row call raises; the tile fails exactly those rows.
     """
-    tile = estimate_tile(values, y0)
-    chosen = tile.chosen_indices()
+    record = tile_record(estimate_tile(values, y0))
     failed = 0
     for i, row in enumerate(values):
+        k_c, k_e, k_r, reason_e, reason_r, *segments, chosen = (r[i] for r in record)
         try:
             report = bic_select(Series(row, y0=None if y0 is None else float(y0[i])))
         except BubbleDateError:
             failed += 1
-            assert [r[i] for r in tile_record(tile)] == [None] * 9, i
+            assert [r[i] for r in record] == [None] * 9, i
             continue
         est = report.estimates
-        assert (tile.k_e_hat[i], tile.k_c_hat[i], tile.k_r_hat[i]) == (est.k_e_hat, est.k_c_hat, est.k_r_hat), i
-        assert (tile.unavailable_reason_e[i], tile.unavailable_reason_r[i]) == (
-            est.unavailable_reason_e, est.unavailable_reason_r), i
-        for x in "cer":
-            got, want = getattr(tile, f"segment_ssr_{x}")[i], getattr(est, f"segment_ssr_{x}")
-            assert (got is None and want is None) or [v.hex() for v in got] == [v.hex() for v in want], (i, x)
-        assert list(ModelChoice)[chosen[i]] is report.chosen, i
+        assert (k_e, k_c, k_r) == (est.k_e_hat, est.k_c_hat, est.k_r_hat), i
+        assert (reason_e, reason_r) == (est.unavailable_reason_e, est.unavailable_reason_r), i
+        for x, got in zip("cer", segments):
+            want = getattr(est, f"segment_ssr_{x}")
+            assert (got is None and want is None) or list(got) == [v.hex() for v in want], (i, x)
+        assert list(ModelChoice)[chosen] is report.chosen, i
     return failed
 
 
@@ -570,8 +628,8 @@ class TestEstimateTile:
         values, y0 = contract_tile()
         tile = estimate_tile(values, y0 if presample else None)
         assert assert_rows_match_one_row_calls(values, y0 if presample else None) == 2  # the NaN and all-zero rows
-        assert tile.unavailable_reason_e[13] is UnavailableReason.BOUNDARY_VIOLATION
-        assert tile.unavailable_reason_r[14] is UnavailableReason.DEGENERATE
+        assert REASONS[tile.reasons[13, 0]] is UnavailableReason.BOUNDARY_VIOLATION
+        assert REASONS[tile.reasons[14, 1]] is UnavailableReason.DEGENERATE
         assert tile.n_obs == (40 if presample else 39)
 
     @pytest.mark.filterwarnings("error")
@@ -606,7 +664,7 @@ class TestEstimateTile:
         peaks = (margin + 2, 30, 60, 100, 140, 170, k_hi - 2, margin + 5)
         values = np.array([growth_decay_tent(T, k, 1.03, 0.97) * np.exp(0.002 * rng.normal(size=T))
                            for k in peaks])
-        k_c = estimate_tile(values, np.ones(len(peaks))).k_c_hat
+        k_c = estimate_tile(values, np.ones(len(peaks))).dates[:, 0]
         assert min(k_c) <= margin + 5 and max(k_c) >= k_hi - 5
         assert assert_rows_match_one_row_calls(values, np.ones(len(peaks))) == 0
 
