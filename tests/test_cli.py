@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -330,6 +331,25 @@ class TestMcCommand:
         ]
         assert len(list(out.glob("cell*.svg"))) == 3
         assert (out / "bic.csv").exists()
+
+    def test_output_files_are_pinned_bytewise(self, tmp_path):
+        # digests of the files the csv-module and inline writers made;
+        # experiment.json is read back by test_writes_experiment_outputs
+        out = tmp_path / "results"
+        assert main(["mc", "--config", self.experiment_config(tmp_path), "--seed", "7", "--reps", "6",
+                     "--out", str(out), "--svg"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir() if p.name != "experiment.json"}
+        assert digests == {
+            "bic.csv": "64039b60bfeee81ec1f414e28cced55ab1541f8e0111cc28afc04dd17f321547",
+            "cell000_collapse_T120_a1.08_b0.9.csv": "07637f7c439e290b3db9d01fb1bbee7ef216c08c51e4ad56ec053b0a3f7e77b7",
+            "cell000_collapse_T120_a1.08_b0.9.svg": "8036567dc674691f8be41514f1cc2d64939c9abfc079b18072280abc90ec3393",
+            "cell001_emergence_T120_a1.08_b0.9.csv": "d758dc7281e301b798540e208c13d260f2e87d2e522ca367b59aced999149660",
+            "cell001_emergence_T120_a1.08_b0.9.svg": "72c4a3ed5ea29c0a2dba6a1f330fc778dfab08f5de84983d1985cdf560b696e9",
+            "cell002_recovery_T120_a1.08_b0.9.csv": "c14188d65697df8fcc3d7a0506946144f0c49aa25ad3936a537a3060cd8e5173",
+            "cell002_recovery_T120_a1.08_b0.9.svg": "f6eca3ed88a7daa68e5f91bff4b03da38f03f30717ef02c8cf13d13caf74b974",
+            "summary.csv": "b424fd4e5a5b65a031660102b47cacb80f813942b00a4bcba221d5021ec973dd",
+        }
 
     def test_preset_runs(self, tmp_path, capsys):
         out = tmp_path / "nf"

@@ -378,6 +378,38 @@ class TestResultWriters:
                            "four_regime", "failed", "reps"]
         assert rows[1] == ["400", "1.05", "0.96", "5", "15", "80", "0", "100"]
 
+    def test_result_writers_are_pinned_bytewise(self, tmp_path):
+        # digests of the files the csv-module writers made: labels that need
+        # quoting, an empty and a padded label, the `# dgp:` comment line, an
+        # empty histogram and a failed BIC count
+        values = sample_values(n=5)
+        empty = HistogramResult(cell=CellKey(T=120, phi_a=1.08, phi_b=0.9), target=Target.RECOVERY,
+                                true_date=84, bins={}, unavailable=6, reps=6)
+        tallies = [
+            BicTally(cell=CellKey(T=400, phi_a=1.05, phi_b=0.96),
+                     counts={ModelChoice.TWO_REGIME: 5, ModelChoice.THREE_REGIME: 15,
+                             ModelChoice.FOUR_REGIME: 80}, failed=0, reps=100),
+            BicTally(cell=CellKey(T=120, phi_a=1.08, phi_b=0.9),
+                     counts={ModelChoice.TWO_REGIME: 0, ModelChoice.THREE_REGIME: 1,
+                             ModelChoice.FOUR_REGIME: 3}, failed=2, reps=6),
+        ]
+        cases = (
+            (lambda p: write_series_csv(p, Series(values)), "1b1c678656cb72e54118a849a324e8c6fbd9ce3b57cab8582ac0e6dd378fffe4"),
+            (lambda p: write_series_csv(p, Series(values, labels=("a,b", 'q"x', "", " c ", "e\nf"))),
+             "7838c207ed0fb38e2514c785443d7061445d764a90870582818d9802f79c9853"),
+            (lambda p: write_series_csv(p, Series(values, y0=0.5),
+                                        metadata={"seed": 3, "dgp": {"T": 5, "phi_a": 1.05}}),
+             "a8589cc63e231fd462cbc878f636833b2c3949f8eb22865853615cb7dc9a8eed"),
+            (lambda p: write_histogram_csv(p, small_histogram()), "da304a0b0ce0768332d5fc6adeaf766b707dd501aabafd1d84d8367633729e2f"),
+            (lambda p: write_histogram_csv(p, empty), "a964f34f0c51ca60c014f2d111e5084165e76ee2c340fc7e6a505c2befd1a1d1"),
+            (lambda p: write_summary_csv(p, [small_histogram(), empty]), "f504164efe52c312a3f1db9403b6a1a1f13f5045ab85a8020b7075620789c977"),
+            (lambda p: write_bic_csv(p, tallies), "7e55503986fac0844cee78c40f735e78f5041a774f51d3f753054c7c10040183"),
+        )
+        for i, (write, digest) in enumerate(cases):
+            path = tmp_path / f"out{i}.csv"
+            write(str(path))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, i
+
     def test_histogram_svg(self):
         svg = histogram_svg(small_histogram())
         assert svg.startswith("<svg")
