@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -96,15 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-
-
 def _break_payload(k, reason, rng, labels) -> dict:
     if k is None:
         return {"index": None, "unavailable": reason.value, "range": list(rng) if rng else None}
@@ -158,12 +148,9 @@ def cmd_estimate(args) -> int:
         ):
             if curve is None:
                 continue
-            path = os.path.join(args.curves_out, f"ssr_{name}.csv")
-            with open(path, "w") as fh:
-                fh.write("k,ssr\n")
-                for k, ssr in curve:
-                    fh.write(f"{int(k)},{ssr!r}\n")
-    _emit(payload, args.out)
+            dataio.write_csv(os.path.join(args.curves_out, f"ssr_{name}.csv"),
+                             [("k", "ssr"), *((int(k), ssr) for k, ssr in curve.tolist())])
+    dataio.write_json(payload, args.out)
     if est.k_e_hat is None or est.k_r_hat is None:
         return EXIT_UNAVAILABLE
     return EXIT_OK
@@ -193,15 +180,13 @@ def cmd_mc(args) -> int:
     config = replace(config, **overrides)
     os.makedirs(args.out, exist_ok=True)  # before the run, which an unusable --out would waste
     result = run_experiment(config, workers=args.workers)
-    with open(os.path.join(args.out, "experiment.json"), "w") as fh:
-        json.dump(dataio.experiment_config_to_dict(config), fh, indent=2, sort_keys=True)
+    dataio.write_json(dataio.experiment_config_to_dict(config), os.path.join(args.out, "experiment.json"))
     dataio.write_summary_csv(os.path.join(args.out, "summary.csv"), result.histograms)
     for i, hist in enumerate(result.histograms):
         stem = f"cell{i:03d}_{hist.target.value}_T{hist.cell.T}_a{hist.cell.phi_a}_b{hist.cell.phi_b}"
         dataio.write_histogram_csv(os.path.join(args.out, stem + ".csv"), hist)
         if args.svg:
-            with open(os.path.join(args.out, stem + ".svg"), "w") as fh:
-                fh.write(dataio.histogram_svg(hist))
+            dataio.write_text(os.path.join(args.out, stem + ".svg"), dataio.histogram_svg(hist))
     if result.bic_tallies:
         dataio.write_bic_csv(os.path.join(args.out, "bic.csv"), result.bic_tallies)
     print(f"wrote {len(result.histograms)} cell histograms to {args.out}")
@@ -244,7 +229,7 @@ def cmd_limitdist(args) -> int:
             summary["psi_check"] = bn.psi_check
     else:
         summary["tau_e"] = args.tau_e
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    dataio.write_json(summary)
     return EXIT_OK
 
 

@@ -3,6 +3,13 @@
 CSV is the only ingestion format.  A header row is required; comment lines
 starting with ``#`` are skipped, which lets simulated output (carrying its
 generator settings in a comment) round-trip back into estimation.
+
+Every file the package writes goes through ``write_text``: CSV through
+``write_csv``, which ends each line with ``\\r\\n`` and writes numbers by
+``str`` (a float's shortest repr that reads back to the same bits), and
+JSON through ``write_json`` (indent 2, sorted keys, final newline).  Only
+series labels are quoted, as the csv module quotes them: when they hold a
+comma, a double quote or a line break.
 """
 from __future__ import annotations
 
@@ -15,6 +22,7 @@ from typing import Optional, Union, get_type_hints
 import numpy as np
 
 from .dgp import ErrorSpec, IidGaussian, LinearProcess, VolatilityScaled
+from .estimator import ModelChoice
 from .montecarlo import ExperimentConfig, HistogramResult, Target
 from .types import (
     BubbleDateError,
@@ -32,6 +40,9 @@ __all__ = [
     "IngestSpec",
     "IngestError",
     "read_series",
+    "write_text",
+    "write_csv",
+    "write_json",
     "write_series_csv",
     "dgp_config_to_dict",
     "dgp_config_from_dict",
@@ -139,20 +150,41 @@ def read_series(spec: IngestSpec) -> Series:
     return validate_series(arr, labels=labels if labels else None)
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text to path with no newline translation; the package's one file write."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def write_csv(path: str, rows, head: str = "") -> None:
+    """Write head, then each row as its fields' ``str`` joined by ``,`` and ended by ``\\r\\n``."""
+    write_text(path, head + "".join(",".join(map(str, row)) + "\r\n" for row in rows))
+
+
+def write_json(payload: dict, path: Optional[str] = None) -> None:
+    """Write payload as JSON to path, or to standard output when path is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        print(text, end="")
+    else:
+        write_text(path, text)
+
+
+def _quoted(label: str) -> str:
+    """label as the csv module writes it: quoted, quotes doubled, if it holds a comma, quote or line break."""
+    if any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
 def write_series_csv(path: str, series: Series, metadata: Optional[dict] = None) -> None:
     """Write a series in the ingestion format, with optional `# dgp:` comment."""
-    with open(path, "w", newline="") as fh:
-        if metadata is not None:
-            fh.write(f"# dgp: {json.dumps(metadata, sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        if series.labels is not None:
-            writer.writerow(["date", "value"])
-            for label, v in zip(series.labels, series.values):
-                writer.writerow([label, repr(float(v))])
-        else:
-            writer.writerow(["value"])
-            for v in series.values:
-                writer.writerow([repr(float(v))])
+    head = "" if metadata is None else f"# dgp: {json.dumps(metadata, sort_keys=True)}\n"
+    values = series.values.tolist()
+    if series.labels is None:
+        write_csv(path, [("value",), *zip(values)], head)
+    else:
+        write_csv(path, [("date", "value"), *zip(map(_quoted, series.labels), values)], head)
 
 
 # The JSON types that a field annotation, list or dict accepts; a boolean is not a number.
@@ -311,41 +343,22 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 
 def write_histogram_csv(path: str, result: HistogramResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "phi_a", "phi_b", "target", "true_date", "k", "count"])
-        for k, count in result.bins.items():
-            writer.writerow(
-                [result.cell.T, result.cell.phi_a, result.cell.phi_b,
-                 result.target.value, result.true_date, k, count]
-            )
+    c = result.cell
+    write_csv(path, [("T", "phi_a", "phi_b", "target", "true_date", "k", "count"),
+                     *((c.T, c.phi_a, c.phi_b, result.target.value, result.true_date, k, count)
+                       for k, count in result.bins.items())])
 
 
 def write_summary_csv(path: str, results: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["cell", "T", "phi_a", "phi_b", "target", "true_date",
-             "reps", "unavailable", "hit_frequency"]
-        )
-        for i, r in enumerate(results):
-            writer.writerow(
-                [i, r.cell.T, r.cell.phi_a, r.cell.phi_b, r.target.value,
-                 r.true_date, r.reps, r.unavailable, f"{r.hit_frequency:.6f}"]
-            )
+    write_csv(path, [("cell", "T", "phi_a", "phi_b", "target", "true_date", "reps", "unavailable", "hit_frequency"),
+                     *((i, r.cell.T, r.cell.phi_a, r.cell.phi_b, r.target.value, r.true_date,
+                        r.reps, r.unavailable, f"{r.hit_frequency:.6f}") for i, r in enumerate(results))])
 
 
 def write_bic_csv(path: str, tallies: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "phi_a", "phi_b", "two_regime", "three_regime", "four_regime", "failed", "reps"])
-        for t in tallies:
-            counts = {m.value: c for m, c in t.counts.items()}
-            writer.writerow(
-                [t.cell.T, t.cell.phi_a, t.cell.phi_b,
-                 counts.get("two_regime", 0), counts.get("three_regime", 0),
-                 counts.get("four_regime", 0), t.failed, t.reps]
-            )
+    write_csv(path, [("T", "phi_a", "phi_b", *(m.value for m in ModelChoice), "failed", "reps"),
+                     *((t.cell.T, t.cell.phi_a, t.cell.phi_b, *(t.counts[m] for m in ModelChoice), t.failed, t.reps)
+                       for t in tallies)])
 
 
 def histogram_svg(result: HistogramResult, width: int = 640, height: int = 320) -> str:
@@ -387,20 +400,16 @@ def histogram_svg(result: HistogramResult, width: int = 640, height: int = 320) 
 
 
 def write_draws_csv(path: str, values: np.ndarray) -> None:
-    rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(values.tolist()))
-    with open(path, "w", newline="") as fh:
-        fh.write("draw,value\r\n" + rows)
+    write_csv(path, [("draw", "value"), *enumerate(values.tolist())])
 
 
 def write_draw_histogram_csv(path: str, values: np.ndarray, n_bins: int = 50) -> None:
     counts, edges = np.histogram(values, bins=n_bins)
     total = values.shape[0]
     edges = edges.tolist()
-    text = [repr(e) for e in edges]
-    rows = ["bin_lo,bin_hi,count,density\r\n"]
-    for i, c in enumerate(counts.tolist()):
-        w = edges[i + 1] - edges[i]
+    rows = [("bin_lo", "bin_hi", "count", "density")]
+    for lo, hi, c in zip(edges, edges[1:], counts.tolist()):
+        w = hi - lo
         density = c / (total * w) if w > 0 and total > 0 else math.nan
-        rows.append(f"{text[i]},{text[i + 1]},{c},{density:.8g}\r\n")
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(rows))
+        rows.append((lo, hi, c, f"{density:.8g}"))
+    write_csv(path, rows)

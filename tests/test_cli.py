@@ -15,7 +15,15 @@ import pytest
 from conftest import three_phase_tent
 
 import bubbledate
-from bubbledate import DgpConfig, Discretization, IidGaussian, recovery_limit_draws, simulate
+from bubbledate import (
+    DgpConfig,
+    Discretization,
+    IidGaussian,
+    Series,
+    estimate_dates,
+    recovery_limit_draws,
+    simulate,
+)
 from bubbledate.cli import main
 
 
@@ -151,8 +159,12 @@ class TestEstimateCommand:
         rows = list(csv.reader(open(curves / "ssr_collapse.csv")))
         assert rows[0] == ["k", "ssr"]
         assert [r[0] for r in rows[1:]] == [str(k) for k in range(2, 39)]
-        assert (curves / "ssr_emergence.csv").exists()
-        assert (curves / "ssr_recovery.csv").exists()
+        est = estimate_dates(Series(three_phase_tent()))
+        for name, curve in (("collapse", est.ssr_curve_c), ("emergence", est.ssr_curve_e),
+                            ("recovery", est.ssr_curve_r)):
+            rows = list(csv.reader(open(curves / f"ssr_{name}.csv", newline="")))
+            assert [int(k) for k, _ in rows[1:]] == curve[:, 0].tolist()
+            assert np.array([float(ssr) for _, ssr in rows[1:]]).tobytes() == curve[:, 1].tobytes()
 
     def test_unavailable_date_exits_three_with_partial_report(self, tmp_path):
         values = np.zeros(40)
@@ -315,7 +327,9 @@ class TestMcCommand:
                      "--out", str(out), "--svg"]) == 0
         assert "wrote 3 cell histograms" in capsys.readouterr().out
 
-        saved = json.loads((out / "experiment.json").read_text())
+        text = (out / "experiment.json").read_text()
+        assert text.endswith("}\n")
+        saved = json.loads(text)
         assert saved["base_seed"] == 7
         assert saved["reps"] == 6
         assert saved["schema_version"] == 1

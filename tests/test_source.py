@@ -76,3 +76,50 @@ def test_unbound_export_check_flags_stale_names():
         "D: int = 1\n"
     )
     assert unbound_exports(tree) == ["B", "E"]
+
+
+def write_opens(tree: ast.Module) -> list:
+    """(line, enclosing function) of each ``open`` call whose mode may write, append or create.
+
+    The mode is the ``mode`` keyword or the second positional argument, as
+    ``open``, ``io.open`` and ``os.open`` take it; a call with neither reads,
+    and a mode that is not a string constant counts as a write.
+    """
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "open" in (getattr(child.func, "id", None),
+                                                         getattr(child.func, "attr", None)):
+                modes = [k.value for k in child.keywords if k.arg == "mode"] + child.args[1:2]
+                reads = not modes or (isinstance(modes[0], ast.Constant) and isinstance(modes[0].value, str)
+                                      and not set(modes[0].value) & set("wax+"))
+                if not reads:
+                    found.append((child.lineno, where))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_function_opens_files_for_writing():
+    opens = [(path.name, where) for path in SOURCES for _, where in write_opens(ast.parse(path.read_text()))]
+    assert opens == [("dataio.py", "write_text")]
+
+
+def test_write_open_check_flags_every_writing_mode():
+    tree = ast.parse(
+        "import io, os\n"
+        "def read(p):\n"
+        "    return open(p).read() + open(p, 'rb').read() + open(p, newline='').read()\n"
+        "def save(p, m):\n"
+        "    open(p, 'w')\n"
+        "    def inner():\n"
+        "        io.open(p, mode='a')\n"
+        "    open(p, 'r+'), os.open(p, os.O_CREAT), open(p, m)\n"
+        "open('x', 'xb')\n"
+    )
+    assert write_opens(tree) == [(5, "save"), (7, "inner"), (8, "save"), (8, "save"), (8, "save"), (9, "<module>")]
