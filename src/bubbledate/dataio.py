@@ -1,15 +1,20 @@
 """File formats: CSV ingestion and output, JSON configs, SVG histograms.
 
-CSV is the only ingestion format.  A header row is required; comment lines
-starting with ``#`` are skipped, which lets simulated output (carrying its
-generator settings in a comment) round-trip back into estimation.
+CSV is the only ingestion format.  A header row is required; comment lines,
+whose text starts with ``#`` after any spaces, are skipped, which lets
+simulated output (carrying its generator settings in a comment)
+round-trip back into estimation.  Header names and values are read with
+surrounding spaces ignored; labels are read as written, spaces included.
+A row whose first field is quoted is data, so a label that starts with
+``#`` is written quoted and reads back as a label, not a comment.
 
 Every file the package writes goes through ``write_text``: CSV through
 ``write_csv``, which ends each line with ``\\r\\n`` and writes numbers by
 ``str`` (a float's shortest repr that reads back to the same bits), and
 JSON through ``write_json`` (indent 2, sorted keys, final newline).  Only
-series labels are quoted, as the csv module quotes them: when they hold a
-comma, a double quote or a line break.
+series labels are quoted, as the csv module quotes them (in double quotes,
+quotes doubled) when they hold a comma, a double quote or a line break,
+and also when they start with ``#`` after any spaces.
 """
 from __future__ import annotations
 
@@ -101,39 +106,41 @@ def read_series(spec: IngestSpec) -> Series:
     if len(spec.delimiter) != 1:
         raise IngestError(f"delimiter must be a single character, got {spec.delimiter!r}")
     try:
-        fh = open(spec.path, newline="")
+        with open(spec.path, newline="") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise IngestError(f"cannot open {spec.path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh, delimiter=spec.delimiter)
-        header = None
-        values = []
-        labels = []
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                v_idx = _resolve_column(header, spec.value_column, "value")
-                d_idx = (
-                    _resolve_column(header, spec.date_column, "date")
-                    if spec.date_column is not None
-                    else None
-                )
-                continue
-            if len(row) <= v_idx:
-                raise IngestError(f"{spec.path}, line {lineno}: expected at least {v_idx + 1} columns")
-            cell = row[v_idx].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise IngestError(
-                    f"{spec.path}, line {lineno}, column {header[v_idx]!r}: cannot parse {cell!r} as a number"
-                ) from None
-            if d_idx is not None:
-                if len(row) <= d_idx:
-                    raise IngestError(f"{spec.path}, line {lineno}: missing date column")
-                labels.append(row[d_idx].strip())
+    reader = csv.reader(lines, delimiter=spec.delimiter)
+    header = None
+    values = []
+    labels = []
+    start = 0  # index of the line the next row starts on: a quoted field can span lines
+    for row in reader:
+        lineno, start = start + 1, reader.line_num
+        if not row or lines[lineno - 1].lstrip().startswith("#"):
+            continue
+        if header is None:
+            header = [c.strip() for c in row]
+            v_idx = _resolve_column(header, spec.value_column, "value")
+            d_idx = (
+                _resolve_column(header, spec.date_column, "date")
+                if spec.date_column is not None
+                else None
+            )
+            continue
+        if len(row) <= v_idx:
+            raise IngestError(f"{spec.path}, line {lineno}: expected at least {v_idx + 1} columns")
+        cell = row[v_idx].strip()
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise IngestError(
+                f"{spec.path}, line {lineno}, column {header[v_idx]!r}: cannot parse {cell!r} as a number"
+            ) from None
+        if d_idx is not None:
+            if len(row) <= d_idx:
+                raise IngestError(f"{spec.path}, line {lineno}: missing date column")
+            labels.append(row[d_idx])
     if header is None:
         raise IngestError(f"{spec.path}: no header row found")
     if not values:
@@ -171,8 +178,8 @@ def write_json(payload: dict, path: Optional[str] = None) -> None:
 
 
 def _quoted(label: str) -> str:
-    """label as the csv module writes it: quoted, quotes doubled, if it holds a comma, quote or line break."""
-    if any(c in label for c in ',"\r\n'):
+    """label quoted, quotes doubled, if it holds a comma, quote or line break or starts with ``#``."""
+    if any(c in label for c in ',"\r\n') or label.lstrip().startswith("#"):
         return '"' + label.replace('"', '""') + '"'
     return label
 

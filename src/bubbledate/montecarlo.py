@@ -17,13 +17,13 @@ tally is the sum of its blocks'; a cell that the grid lists twice (the
 anchor pair sits in both sweep arms) is simulated and dated once and
 reports the same tally at both positions.
 A run with n workers runs every n-th block in the calling process and the
-rest on a pool of n - 1 worker processes, which later runs reuse.
+rest on a pool of n - 1 worker processes, which later runs reuse.  Only
+that path imports ``concurrent.futures`` (and with it ``multiprocessing``),
+so a serial run and a bare import load neither.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -255,14 +255,39 @@ def _drop_pool() -> None:
     _pool.clear()
 
 
-def _run_here(config: ExperimentConfig, task: tuple) -> Future:
-    """Run one block in this process, its outcome held as a pool block's is."""
-    future = Future()
+def _new_pool(size: int):
+    """A pool of size worker processes: the one place a pool is made."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=size)
+
+
+def _run_pooled(config: ExperimentConfig, tasks: list, n: int) -> list:
+    """Each task's tallies, with every n-th task run here and the rest on the kept pool of n - 1."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures, reused = {}, n - 1 in _pool
     try:
-        future.set_result(_run_block(config, *task))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
+        if not reused:
+            _drop_pool()
+            _pool[n - 1] = _new_pool(n - 1)
+        futures = {i: _pool[n - 1].submit(_run_block, config, *t) for i, t in enumerate(tasks) if i % n}
+        for i in range(0, len(tasks), n):  # this process's blocks, their outcomes held as a pool block's are
+            futures[i] = Future()
+            try:
+                futures[i].set_result(_run_block(config, *tasks[i]))
+            except Exception as exc:
+                futures[i].set_exception(exc)
+        return [futures[i].result() for i in range(len(tasks))]
+    except BrokenProcessPool:
+        _drop_pool()
+        if reused:  # a worker of the kept pool died since the last run: start afresh
+            return _run_pooled(config, tasks, n)
+        raise
+    finally:
+        for future in futures.values():
+            future.cancel()
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
@@ -287,23 +312,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     chunk = math.ceil(config.reps / workers)
     tasks = [(T, lo, min(lo + chunk, config.reps)) for T in sizes for lo in range(0, config.reps, chunk)]
     n = min(workers, len(tasks))
-    futures, reused = {}, n - 1 in _pool
-    try:
-        if n > 1:
-            if not reused:
-                _drop_pool()
-                _pool[n - 1] = ProcessPoolExecutor(max_workers=n - 1)
-            futures = {i: _pool[n - 1].submit(_run_block, config, *t) for i, t in enumerate(tasks) if i % n}
-        futures.update((i, _run_here(config, tasks[i])) for i in range(0, len(tasks), n))
-        outcomes = [futures[i].result() for i in range(len(tasks))]
-    except BrokenProcessPool:
-        _drop_pool()
-        if reused:  # a worker of the kept pool died since the last run: start afresh
-            return run_experiment(config, workers)
-        raise
-    finally:
-        for future in futures.values():
-            future.cancel()
+    outcomes = _run_pooled(config, tasks, n) if n > 1 else [_run_block(config, *t) for t in tasks]
     cell_tallies = {}
     for tallies in outcomes:
         for cell, tally in tallies.items():

@@ -187,6 +187,18 @@ class TestSeriesRoundTrip:
         assert back.labels == labels
 
 
+    def test_labels_round_trip_as_written(self, tmp_path):
+        # a label starting with `#` is data, not a comment, and spaces are kept
+        values = sample_values()
+        odd = ("#x", "a,b", 'q"x', "", " c ", "e\nf", " #y")
+        labels = odd + tuple(f"d{i}" for i in range(len(odd), len(values)))
+        path = tmp_path / "labels.csv"
+        write_series_csv(str(path), Series(values, labels=labels), metadata={"seed": 3})
+        back = read_series(IngestSpec(str(path), date_column="date"))
+        assert back.labels == labels
+        assert np.array_equal(back.values, values)
+
+
 class TestConfigDicts:
     def test_dgp_round_trip(self):
         cfg = DgpConfig(

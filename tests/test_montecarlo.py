@@ -382,7 +382,7 @@ def test_pool_run_makes_one_block_per_worker(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SynchronousPool)
+    monkeypatch.setattr(montecarlo, "_new_pool", SynchronousPool)
     monkeypatch.setattr(montecarlo, "_run_block", recording_block)
     monkeypatch.setattr(montecarlo, "_pool", {})  # a pool kept by an earlier run would bypass the stub
     cfg = small_config(T_grid=(100, 120), phi_b_grid=(0.85,), reps=64)
@@ -408,6 +408,44 @@ def test_pool_run_makes_one_block_per_worker(monkeypatch):
     assert pools == [3]
 
 
+def test_first_failing_block_in_block_order_raises(monkeypatch):
+    import bubbledate.montecarlo as montecarlo
+
+    class Failure(Exception):
+        pass
+
+    class SynchronousPool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    def failing_block(config, T, rep_lo, rep_hi):
+        # with two workers, blocks 2 (this process's) and 3 (the pool's, which the stub runs first)
+        # of [(100, 0), (100, 32), (120, 0), (120, 32)]; serially, the block (120, 0)
+        if (T, rep_lo) in ((120, 0), (120, 32)):
+            raise Failure(T, rep_lo)
+        return {}
+
+    monkeypatch.setattr(montecarlo, "_new_pool", SynchronousPool)
+    monkeypatch.setattr(montecarlo, "_run_block", failing_block)
+    monkeypatch.setattr(montecarlo, "_pool", {})
+    cfg = small_config(T_grid=(100, 120), reps=64)
+    for workers in (1, 2):
+        with pytest.raises(Failure) as err:
+            run_experiment(cfg, workers=workers)
+        assert err.value.args == (120, 0), workers
+
+
 def test_pool_outlives_a_killed_worker():
     import bubbledate.montecarlo as montecarlo
 
@@ -424,20 +462,50 @@ def test_pool_outlives_a_killed_worker():
     assert fresh is not kept
 
 
-def test_pooled_run_exits_with_the_interpreter():
+def run_script(script: str) -> str:
+    """The standard output of a fresh interpreter running script, with this package first on its path."""
     import bubbledate
 
+    src = str(Path(bubbledate.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_pooled_run_exits_with_the_interpreter():
     script = (
         "from dataclasses import replace\n"
         "import bubbledate.montecarlo as mc\n"
         "mc.run_experiment(replace(mc.preset('baseline'), reps=4), workers=2)\n"
         "print(*[pid for pool in mc._pool.values() for pid in pool._processes])\n"
     )
-    src = str(Path(bubbledate.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    workers = [int(pid) for pid in proc.stdout.split()]
+    workers = [int(pid) for pid in run_script(script).split()]
     assert len(workers) == 1
     # the interpreter joins its workers before it exits, so none is left, not even a zombie
     assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+
+
+def modules_after(script: str) -> list:
+    """The names of the modules loaded at each ``probe()`` in script, run in a fresh interpreter."""
+    probe = "import json, sys\ndef probe():\n    print(json.dumps(sorted(sys.modules)))\n"
+    return [set(json.loads(line)) for line in run_script(probe + script).splitlines()]
+
+
+POOL_MODULES = {"concurrent.futures", "multiprocessing"}
+
+
+def test_only_a_pooled_run_imports_the_process_pool():
+    (cli,) = modules_after("import bubbledate.cli\nprobe()\n")
+    layers = {f"bubbledate.{m}" for m in ("rng", "dgp", "estimator", "montecarlo", "asymptotics", "dataio", "cli")}
+    assert layers <= cli
+    assert not POOL_MODULES & cli
+    serial, pooled = modules_after(
+        "from dataclasses import replace\n"
+        "import bubbledate.montecarlo as mc\n"
+        "config = replace(mc.preset('baseline'), T_grid=(100,), reps=4)\n"
+        "mc.run_experiment(config, workers=1)\nprobe()\n"
+        "mc.run_experiment(config, workers=2)\nprobe()\n"
+    )
+    assert not POOL_MODULES & serial
+    assert POOL_MODULES <= pooled
