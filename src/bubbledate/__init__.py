@@ -53,16 +53,12 @@ from .types import (
     BubbleDateError,
     ConfigError,
     DgpConfig,
-    DerivedExponents,
     LinearProcessCoeffs,
     Series,
     SeriesValidationError,
     SingleShiftVolatility,
     TrimmingPolicy,
     UnavailableReason,
-    collapse_exponent,
-    derived_exponents,
-    explosion_exponent,
     validate_series,
 )
 

@@ -40,7 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .rng import stream
-from .types import ConfigError, LinearProcessCoeffs, _require_c_b
+from .types import ConfigError, LinearProcessCoeffs
 
 __all__ = [
     "Discretization",
@@ -57,6 +57,14 @@ __all__ = [
 # emergence level sqrt(tau_e) * g, is this close to zero are redrawn: the
 # objectives divide by the level, and W / level stays finite for any tau_e.
 REJECTION_THRESHOLD = 1e-8
+
+
+def _require_c_b(c_b: float, v_max: float = 1.0) -> float:
+    """The collapse intensity c_b: positive, with a window v_max finite in natural and in standard units."""
+    c_b, v_max = float(c_b), float(v_max)  # Python floats overflow to inf without a warning
+    if not (c_b > 0.0 and math.isfinite(v_max / c_b) and math.isfinite(c_b * v_max)):
+        raise ConfigError([f"c_b must be positive with v_max / c_b and c_b * v_max finite, got {c_b} (v_max {v_max})"])
+    return c_b
 
 
 @dataclass(frozen=True)
@@ -272,7 +280,7 @@ def _recovery_objective(
     return ws.neg_rev, pos
 
 
-def _one_recovery_draw(bn: Optional[BnDecomposition], ws: _Workspace, rng) -> Optional[tuple]:
+def _one_recovery_draw(bn: BnDecomposition, ws: _Workspace, rng) -> Optional[tuple]:
     """One attempt in ``ws``: the standard recovery objective's branches, or None if B~(0) is too small."""
     _tail_process(ws.step, rng, ws.b_tilde, ws.db1, ws.tmp)
     rng.standard_normal(out=ws.db2)
@@ -280,12 +288,8 @@ def _one_recovery_draw(bn: Optional[BnDecomposition], ws: _Workspace, rng) -> Op
     b0 = float(ws.b_tilde[0])
     if abs(b0) < REJECTION_THRESHOLD:
         return None
-    psi_neg = psi_pos = 1.0
-    if bn is not None:
-        psi_neg = 1.0 - bn.psi_check
-        ratio = bn.psi_sq_sum / bn.psi_sum**2
-        psi_pos = 1.0 + (1.0 - ratio) / (b0 * b0)
-    return _recovery_objective(ws, ws.b_tilde, ws.db1, ws.db2, psi_neg, psi_pos)
+    psi_pos = 1.0 + (1.0 - bn.psi_sq_sum / bn.psi_sum**2) / (b0 * b0)
+    return _recovery_objective(ws, ws.b_tilde, ws.db1, ws.db2, 1.0 - bn.psi_check, psi_pos)
 
 
 @dataclass(frozen=True)
@@ -323,12 +327,14 @@ def recovery_limit_draws(
 ) -> LimitSample:
     """Batch of independent recovery-limit draws: the c_b = 1 draws on ``disc`` divided by c_b.
 
-    ``correction`` is None, a ``LinearProcessCoeffs`` or its ``bn_decompose``.
+    ``correction`` is a ``LinearProcessCoeffs``, its ``bn_decompose``, or None for white noise.
     Draw i comes from the (seed, i) stream, so any subset or reordering of
     the batch reproduces the same values.
     """
     _require_c_b(c_b, disc.v_max)
-    bn = correction if correction is None or isinstance(correction, BnDecomposition) else bn_decompose(correction)
+    if correction is None:
+        correction = LinearProcessCoeffs((1.0,))
+    bn = correction if isinstance(correction, BnDecomposition) else bn_decompose(correction)
     sample = _draw_batch(partial(_one_recovery_draw, bn), disc, draws, seed)
     return LimitSample(values=sample.values / c_b, rejections=sample.rejections)
 

@@ -1,12 +1,13 @@
 """File formats: CSV ingestion and output, JSON configs, SVG histograms.
 
-CSV is the only ingestion format.  A header row is required; comment lines,
-whose text starts with ``#`` after any spaces, are skipped, which lets
-simulated output (carrying its generator settings in a comment)
-round-trip back into estimation.  Header names and values are read with
-surrounding spaces ignored; labels are read as written, spaces included.
-A row whose first field is quoted is data, so a label that starts with
-``#`` is written quoted and reads back as a label, not a comment.
+Every file the package reads goes through ``read_text``, as UTF-8.  CSV is
+the only ingestion format.  A header row is required; where a row would
+start, a blank line or a comment, whose text starts with ``#`` after any
+spaces, is skipped, which lets simulated output (carrying its generator
+settings in a comment) round-trip back into estimation.  Header names and
+values are read with surrounding spaces ignored; labels are read as
+written, spaces included.  A row whose first field is quoted is data, and
+so is every later line of a quoted field, so a label may start with ``#``.
 
 Every file the package writes goes through ``write_text``: CSV through
 ``write_csv``, which ends each line with ``\\r\\n`` and writes numbers by
@@ -19,6 +20,7 @@ and also when they start with ``#`` after any spaces.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -44,6 +46,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "IngestSpec",
     "IngestError",
+    "read_text",
     "read_series",
     "write_text",
     "write_csv",
@@ -101,32 +104,41 @@ def _resolve_column(header: list, ref: Union[str, int], role: str) -> int:
         raise IngestError(f"{role} column {ref!r} not found; header columns: {header}") from None
 
 
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at path, line endings as written; the package's one file read."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestError(f"cannot open {path}: {exc}") from None
+
+
 def read_series(spec: IngestSpec) -> Series:
     """Read and validate one series; raises IngestError with file context."""
     if len(spec.delimiter) != 1:
         raise IngestError(f"delimiter must be a single character, got {spec.delimiter!r}")
-    try:
-        with open(spec.path, newline="") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IngestError(f"cannot open {spec.path}: {exc}") from None
-    reader = csv.reader(lines, delimiter=spec.delimiter)
+    text = read_text(spec.path)
+    start = None  # number of the line the row being parsed starts on, None between rows
+
+    def lines():
+        """The lines of text, less comment and blank lines where a row would start: a quoted field can span lines."""
+        nonlocal start
+        for number, line in enumerate(io.StringIO(text, newline=""), 1):
+            if start is None:
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                start = number
+            yield line
+
     header = None
     values = []
     labels = []
-    start = 0  # index of the line the next row starts on: a quoted field can span lines
-    for row in reader:
-        lineno, start = start + 1, reader.line_num
-        if not row or lines[lineno - 1].lstrip().startswith("#"):
-            continue
+    for row in csv.reader(lines(), delimiter=spec.delimiter):
+        lineno, start = start, None
         if header is None:
             header = [c.strip() for c in row]
             v_idx = _resolve_column(header, spec.value_column, "value")
-            d_idx = (
-                _resolve_column(header, spec.date_column, "date")
-                if spec.date_column is not None
-                else None
-            )
+            d_idx = None if spec.date_column is None else _resolve_column(header, spec.date_column, "date")
             continue
         if len(row) <= v_idx:
             raise IngestError(f"{spec.path}, line {lineno}: expected at least {v_idx + 1} columns")
@@ -158,8 +170,8 @@ def read_series(spec: IngestSpec) -> Series:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write text to path with no newline translation; the package's one file write."""
-    with open(path, "w", newline="") as fh:
+    """Write text to path as UTF-8 with no newline translation; the package's one file write."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -330,10 +342,7 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise IngestError(f"cannot open {path}: {exc}") from None
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: invalid JSON: {exc}") from None
 

@@ -26,10 +26,6 @@ __all__ = [
     "Series",
     "validate_series",
     "DgpConfig",
-    "DerivedExponents",
-    "derived_exponents",
-    "explosion_exponent",
-    "collapse_exponent",
     "SingleShiftVolatility",
     "LinearProcessCoeffs",
     "TrimmingPolicy",
@@ -262,54 +258,6 @@ class DgpConfig:
         if self.drift_post is not None:
             return self.drift_post
         return self.c1 * self.T ** (-self.eta1)
-
-
-@dataclass(frozen=True)
-class DerivedExponents:
-    """Local-to-unity exponents implied by (phi_a, phi_b, T)."""
-
-    a: float
-    b: float
-    c_a: float
-    c_b: float
-
-
-def explosion_exponent(phi_a: float, T: int, c_a: float = 1.0) -> float:
-    """Exponent a solving phi_a = 1 + c_a / T**a."""
-    if phi_a <= 1.0:
-        raise ConfigError([f"phi_a must exceed 1, got {phi_a}"])
-    if c_a <= 0.0:
-        raise ConfigError([f"c_a must be positive, got {c_a}"])
-    return (math.log(c_a) - math.log(phi_a - 1.0)) / math.log(T)
-
-
-def _require_c_b(c_b: float, v_max: float = 1.0) -> float:
-    """The collapse intensity c_b: positive, with a window v_max finite in natural and in standard units."""
-    c_b, v_max = float(c_b), float(v_max)  # Python floats overflow to inf without a warning
-    if not (c_b > 0.0 and math.isfinite(v_max / c_b) and math.isfinite(c_b * v_max)):
-        raise ConfigError([f"c_b must be positive with v_max / c_b and c_b * v_max finite, got {c_b} (v_max {v_max})"])
-    return c_b
-
-
-def collapse_exponent(phi_b: float, T: int, c_b: float = 1.0) -> float:
-    """Exponent b solving phi_b = 1 - c_b / T**b."""
-    if not (0.0 < phi_b < 1.0):
-        raise ConfigError([f"phi_b must lie in (0, 1), got {phi_b}"])
-    return (math.log(_require_c_b(c_b)) - math.log(1.0 - phi_b)) / math.log(T)
-
-
-def derived_exponents(config: DgpConfig, c_a: float = 1.0, c_b: float = 1.0) -> DerivedExponents:
-    """Exponents (a, b) implied by the config's AR coefficients.
-
-    By convention the scale constants default to one, so that
-    ``a = -ln(phi_a - 1)/ln T`` and ``b = -ln(1 - phi_b)/ln T``.
-    """
-    return DerivedExponents(
-        a=explosion_exponent(config.phi_a, config.T, c_a),
-        b=collapse_exponent(config.phi_b, config.T, c_b),
-        c_a=c_a,
-        c_b=c_b,
-    )
 
 
 @dataclass(frozen=True)

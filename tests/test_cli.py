@@ -524,6 +524,17 @@ class TestLimitdistCommand:
         assert not os.path.exists(prefix + "_draws.csv")
 
 
+def test_undecodable_inputs_exit_two(tmp_path, capsys):
+    # README reserves exit 2 for invalid input, and a file that is not UTF-8 is one
+    path = tmp_path / "ff"
+    path.write_bytes(b"value\n\xff\n")
+    out = str(tmp_path / "x")
+    for argv in (["estimate", str(path)], ["simulate", "--config", str(path), "--seed", "1", "--out", out],
+                 ["mc", "--config", str(path), "--seed", "1", "--out", out]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: cannot open {path}"), argv
+
+
 def test_cli_import_loads_no_scipy():
     """The runtime needs numpy alone: importing the CLI loads no scipy module."""
     src = Path(bubbledate.__file__).resolve().parents[1]

@@ -5,10 +5,15 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bubbledate
 from bubbledate import (
     ConfigError,
     DgpConfig,
@@ -101,6 +106,15 @@ class TestReadSeries:
         series = read_series(IngestSpec(str(path)))
         assert np.array_equal(series.values, values)
 
+    def test_comment_with_an_open_quote_swallows_no_rows(self, tmp_path):
+        # a comment is dropped before the CSV parser sees it, so its quote opens no field
+        values = stream(5).normal(size=60).cumsum()
+        path = tmp_path / "q.csv"
+        lines = ["value", *map(repr, values[:20].tolist()), '# note,"quoted', *map(repr, values[20:].tolist())]
+        path.write_text("\n".join(lines) + "\n")
+        series = read_series(IngestSpec(str(path)))
+        assert np.array_equal(series.values, values)
+
     def test_custom_delimiter(self, tmp_path):
         values = sample_values()
         path = tmp_path / "semi.csv"
@@ -190,13 +204,30 @@ class TestSeriesRoundTrip:
     def test_labels_round_trip_as_written(self, tmp_path):
         # a label starting with `#` is data, not a comment, and spaces are kept
         values = sample_values()
-        odd = ("#x", "a,b", 'q"x', "", " c ", "e\nf", " #y")
+        odd = ("#x", "a,b", 'q"x', "", " c ", "e\nf", " #y", "g\n#h", "i\n\nj", "März1")
         labels = odd + tuple(f"d{i}" for i in range(len(odd), len(values)))
         path = tmp_path / "labels.csv"
         write_series_csv(str(path), Series(values, labels=labels), metadata={"seed": 3})
         back = read_series(IngestSpec(str(path), date_column="date"))
         assert back.labels == labels
         assert np.array_equal(back.values, values)
+
+
+def test_non_ascii_label_round_trips_under_an_ascii_locale(tmp_path):
+    """Files are UTF-8 whatever the locale's encoding: a C-locale interpreter writes and reads back März1."""
+    probe = (
+        "import sys, numpy as np; from bubbledate import Series; "
+        "from bubbledate.dataio import IngestSpec, read_series, write_series_csv; "
+        "label = 'M\\u00e4rz1'; "  # escaped: the command line itself is ASCII
+        "write_series_csv(sys.argv[1], Series(np.arange(1.0, 41.0), labels=[label] + [f'd{i}' for i in range(39)])); "
+        "print(read_series(IngestSpec(sys.argv[1], date_column='date')).labels[0] == label)"
+    )
+    src = Path(bubbledate.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONUTF8"))}
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", probe, str(tmp_path / "m.csv")],
+                          env=dict(env, LC_ALL="C", PYTHONPATH=str(src)), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 class TestConfigDicts:

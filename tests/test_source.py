@@ -78,8 +78,8 @@ def test_unbound_export_check_flags_stale_names():
     assert unbound_exports(tree) == ["B", "E"]
 
 
-def write_opens(tree: ast.Module) -> list:
-    """(line, enclosing function) of each ``open`` call whose mode may write, append or create.
+def file_opens(tree: ast.Module, writes: bool) -> list:
+    """(line, enclosing function) of each ``open`` call whose mode may write, append or create, or with writes false, of every other.
 
     The mode is the ``mode`` keyword or the second positional argument, as
     ``open``, ``io.open`` and ``os.open`` take it; a call with neither reads,
@@ -97,7 +97,7 @@ def write_opens(tree: ast.Module) -> list:
                 modes = [k.value for k in child.keywords if k.arg == "mode"] + child.args[1:2]
                 reads = not modes or (isinstance(modes[0], ast.Constant) and isinstance(modes[0].value, str)
                                       and not set(modes[0].value) & set("wax+"))
-                if not reads:
+                if reads != writes:
                     found.append((child.lineno, where))
             visit(child, where)
 
@@ -105,9 +105,17 @@ def write_opens(tree: ast.Module) -> list:
     return found
 
 
+def source_opens(writes: bool) -> list:
+    """(file, function) of each ``open`` call in the package that writes, or with writes false, reads."""
+    return [(path.name, where) for path in SOURCES for _, where in file_opens(ast.parse(path.read_text()), writes)]
+
+
 def test_one_function_opens_files_for_writing():
-    opens = [(path.name, where) for path in SOURCES for _, where in write_opens(ast.parse(path.read_text()))]
-    assert opens == [("dataio.py", "write_text")]
+    assert source_opens(writes=True) == [("dataio.py", "write_text")]
+
+
+def test_one_function_opens_files_for_reading():
+    assert source_opens(writes=False) == [("dataio.py", "read_text")]
 
 
 def test_write_open_check_flags_every_writing_mode():
@@ -122,4 +130,18 @@ def test_write_open_check_flags_every_writing_mode():
         "    open(p, 'r+'), os.open(p, os.O_CREAT), open(p, m)\n"
         "open('x', 'xb')\n"
     )
-    assert write_opens(tree) == [(5, "save"), (7, "inner"), (8, "save"), (8, "save"), (8, "save"), (9, "<module>")]
+    assert file_opens(tree, writes=True) == [(5, "save"), (7, "inner"), (8, "save"), (8, "save"), (8, "save"), (9, "<module>")]
+
+
+def test_read_open_check_flags_every_reading_mode():
+    tree = ast.parse(
+        "import io\n"
+        "def load(p):\n"
+        "    return open(p).read() + open(p, 'rb').read()\n"
+        "def save(p):\n"
+        "    open(p, 'w'), open(p, 'r+')\n"
+        "    def inner():\n"
+        "        io.open(p, mode='rt', newline='')\n"
+        "open('x', encoding='utf-8')\n"
+    )
+    assert file_opens(tree, writes=False) == [(3, "load"), (3, "load"), (7, "inner"), (8, "<module>")]

@@ -1,4 +1,4 @@
-"""Domain types: series validation, DGP configs, exponents, trimming."""
+"""Domain types: series validation, DGP configs, trimming, volatility profiles, filters."""
 from __future__ import annotations
 
 import math
@@ -15,9 +15,6 @@ from bubbledate import (
     SeriesValidationError,
     SingleShiftVolatility,
     TrimmingPolicy,
-    collapse_exponent,
-    derived_exponents,
-    explosion_exponent,
     validate_series,
 )
 from bubbledate.types import LabelMismatch, NonFinite, TooShort
@@ -164,44 +161,6 @@ class TestDgpConfig:
                 rejected += 1
             assert got == want, (te, tc, tr, pa, pb, T)
         assert 0 < rejected < 300  # both branches exercised
-
-
-class TestDerivedExponents:
-    def test_reference_values(self):
-        cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=400)
-        d = derived_exponents(cfg)
-        assert d.a == pytest.approx(math.log(20.0) / math.log(400.0), rel=1e-12)
-        assert d.b == pytest.approx(math.log(25.0) / math.log(400.0), rel=1e-12)
-        assert round(d.a, 4) == 0.5
-        assert round(d.b, 4) == 0.5372
-
-    def test_unit_scale_phi_two(self):
-        assert explosion_exponent(2.0, 400) == pytest.approx(0.0, abs=1e-12)
-        assert explosion_exponent(2.0, 997) == pytest.approx(0.0, abs=1e-12)
-
-    def test_slow_explosion_orders_a_above_b(self):
-        cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.01, phi_b=0.96, T=800)
-        d = derived_exponents(cfg)
-        assert round(d.a, 4) == 0.6889
-        assert round(d.b, 4) == 0.4815
-        assert d.a > d.b
-
-    def test_round_trip_over_design_grid(self):
-        for T in (400, 800):
-            for pa in (1.01, 1.05, 1.09):
-                a = explosion_exponent(pa, T)
-                assert 1.0 + T ** (-a) == pytest.approx(pa, rel=1e-12)
-            for pb in (0.98, 0.96, 0.94):
-                b = collapse_exponent(pb, T)
-                assert 1.0 - T ** (-b) == pytest.approx(pb, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ConfigError):
-            explosion_exponent(1.0, 400)
-        with pytest.raises(ConfigError):
-            collapse_exponent(1.0, 400)
-        with pytest.raises(ConfigError):
-            explosion_exponent(1.05, 400, c_a=0.0)
 
 
 class TestTrimmingPolicy:
