@@ -105,9 +105,9 @@ def _resolve_column(header: list, ref: Union[str, int], role: str) -> int:
 
 
 def read_text(path: str) -> str:
-    """The text of the UTF-8 file at path, line endings as written; the package's one file read."""
+    """The text of the UTF-8 file at path, less any BOM, line endings as written; the package's one file read."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot open {path}: {exc}") from None
@@ -133,26 +133,29 @@ def read_series(spec: IngestSpec) -> Series:
     header = None
     values = []
     labels = []
-    for row in csv.reader(lines(), delimiter=spec.delimiter):
-        lineno, start = start, None
-        if header is None:
-            header = [c.strip() for c in row]
-            v_idx = _resolve_column(header, spec.value_column, "value")
-            d_idx = None if spec.date_column is None else _resolve_column(header, spec.date_column, "date")
-            continue
-        if len(row) <= v_idx:
-            raise IngestError(f"{spec.path}, line {lineno}: expected at least {v_idx + 1} columns")
-        cell = row[v_idx].strip()
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise IngestError(
-                f"{spec.path}, line {lineno}, column {header[v_idx]!r}: cannot parse {cell!r} as a number"
-            ) from None
-        if d_idx is not None:
-            if len(row) <= d_idx:
-                raise IngestError(f"{spec.path}, line {lineno}: missing date column")
-            labels.append(row[d_idx])
+    try:
+        for row in csv.reader(lines(), delimiter=spec.delimiter):
+            lineno, start = start, None
+            if header is None:
+                header = [c.strip() for c in row]
+                v_idx = _resolve_column(header, spec.value_column, "value")
+                d_idx = None if spec.date_column is None else _resolve_column(header, spec.date_column, "date")
+                continue
+            if len(row) <= v_idx:
+                raise IngestError(f"{spec.path}, line {lineno}: expected at least {v_idx + 1} columns")
+            cell = row[v_idx].strip()
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise IngestError(
+                    f"{spec.path}, line {lineno}, column {header[v_idx]!r}: cannot parse {cell!r} as a number"
+                ) from None
+            if d_idx is not None:
+                if len(row) <= d_idx:
+                    raise IngestError(f"{spec.path}, line {lineno}: missing date column")
+                labels.append(row[d_idx])
+    except csv.Error as exc:
+        raise IngestError(f"{spec.path}, line {start}: {exc}") from None
     if header is None:
         raise IngestError(f"{spec.path}: no header row found")
     if not values:

@@ -10,12 +10,12 @@ order or on how replications are distributed over workers.
 The unit of work is a (T, replication block): the block draws each
 replication's errors once into one (rows, T) matrix, shared by every cell
 with that T.  One regime recursion runs all of the T's distinct cells on
-those rows at once, and ``estimate_tile`` dates each distinct cell's rows
-in tiles of ``TILE_ROWS`` rows.  A block returns one tally per distinct
-cell, an int array of counts by date (and by model choice), and a cell's
-tally is the sum of its blocks'; a cell that the grid lists twice (the
-anchor pair sits in both sweep arms) is simulated and dated once and
-reports the same tally at both positions.
+those rows at once, and one ``estimate_tile`` call dates all their paths.
+A block returns one tally per distinct cell, an int array of counts by
+date (and by model choice), and a cell's tally is the sum of its blocks';
+a cell that the grid lists twice (the anchor pair sits in both sweep
+arms) is simulated and dated once and reports the same tally at both
+positions.
 A run with n workers runs every n-th block in the calling process and the
 rest on a pool of n - 1 worker processes, which later runs reuse.  Only
 that path imports ``concurrent.futures`` (and with it ``multiprocessing``),
@@ -163,17 +163,6 @@ class ExperimentResult:
     bic_tallies: list = field(default_factory=list)
 
 
-# Rows dated together by one ``estimate_tile`` call.  A tile's passes read
-# its rows forward and backward at once, so a 16-row tile of T = 800 works
-# on (32, 801) arrays; its tracemalloc peak is 1.28 MB (0.64 MB at 8 rows,
-# 2.57 MB at 32).  On a 2-vCPU Xeon with 2 MB of L2 cache per core, the
-# volshift-up preset at 64 replications with BIC took 0.85-0.94 (serial)
-# and 0.89-0.98 (two workers) of its 8-row time at 16 rows.  24 and 32
-# rows ran as fast as 16 within the host's spread, with 2.5 and 7 times
-# the page faults: the allocator returns their larger arrays to the
-# system and faults them back in.  Peak memory grows with the tile.
-TILE_ROWS = 16
-
 # Each target's column in ``TileEstimates.dates``.
 _DATE_COLUMN = {Target.COLLAPSE: 0, Target.EMERGENCE: 1, Target.RECOVERY: 2}
 
@@ -187,32 +176,22 @@ def _run_block(config: ExperimentConfig, T: int, rep_lo: int, rep_hi: int) -> di
     (targets + bic, T + 1) int array: row i counts target i's dates, with
     unavailable dates and failed replications in column 0, and the last
     row, with BIC on, counts failed replications in column 0 and model m
-    of ``ModelChoice`` in column m + 1.  The counts are taken once per
-    cell over the block's tiles.  Returns the tallies keyed by cell, in
-    cell order.  Tallies add, so blocks merge in any order.
+    of ``ModelChoice`` in column m + 1.  One ``estimate_tile`` call dates
+    the paths of every cell.  Returns the tallies keyed by cell, in cell
+    order.  Tallies add, so blocks merge in any order.
     """
     errors = np.empty((rep_hi - rep_lo, T))
     for i, rep in enumerate(range(rep_lo, rep_hi)):
         errors[i] = generate_errors(config.errors, T, stream(config.base_seed, rep, 0))
     cells = list(dict.fromkeys(cell for cell in config.cells() if cell.T == T))
-    paths = _regime_recursion(
-        replace(config.dgp, T=T),
-        np.array([[cell.phi_a] for cell in cells]),
-        np.array([[cell.phi_b] for cell in cells]),
-        errors,
-    )
-    tallies = {}
-    for c, cell in enumerate(cells):
-        tiles = []
-        for lo in range(0, errors.shape[0], TILE_ROWS):
-            tile = np.ascontiguousarray(paths[:, c, lo:lo + TILE_ROWS].T)
-            tiles.append(estimate_tile(tile[:, 1:], tile[:, 0], config.trimming))
-        dates = np.concatenate([est.dates for est in tiles])
-        counted = [dates[:, _DATE_COLUMN[t]] for t in config.targets]
-        if config.bic:
-            counted.append(np.concatenate([est.chosen_indices() for est in tiles]) + 1)
-        tallies[cell] = np.array([np.bincount(x, minlength=T + 1) for x in counted])
-    return tallies
+    paths = _regime_recursion(replace(config.dgp, T=T), np.array([[cell.phi_a] for cell in cells]),
+                              np.array([[cell.phi_b] for cell in cells]), errors)
+    est = estimate_tile(paths[1:].reshape(T, -1).T, paths[0].reshape(-1), config.trimming)
+    counted = [est.dates[:, _DATE_COLUMN[t]] for t in config.targets]
+    if config.bic:
+        counted.append(est.chosen_indices() + 1)
+    counted = np.array(counted).reshape(len(counted), len(cells), -1)
+    return {cell: np.array([np.bincount(x, minlength=T + 1) for x in counted[:, c]]) for c, cell in enumerate(cells)}
 
 
 def _add_cell(result: ExperimentResult, cell: CellKey, tally: np.ndarray) -> None:

@@ -197,6 +197,24 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # spreadsheet programs save CSV as "UTF-8 with BOM"
+        path = tmp_path / "bom.csv"
+        values = np.random.default_rng(1).normal(size=50).cumsum().tolist()
+        path.write_text("value\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["estimate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["input"]["T"] == 50
+
+    def test_unparsable_row_exits_two_with_its_line(self, tmp_path, capsys):
+        # an unclosed quote swallows the rest of the file into one field,
+        # past the csv module's field size limit
+        path = tmp_path / "quote.csv"
+        path.write_text('date,value\n"x,1.0\n' + "d,1.0\n" * 30000)
+        assert main(["estimate", str(path), "--date-column", "date"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, line 2: field larger than field limit") and err.count("\n") == 1
+
     def test_invalid_inputs_exit_two(self, tmp_path):
         missing = tmp_path / "missing.csv"
         assert main(["estimate", str(missing)]) == 2
@@ -260,6 +278,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", sim_config(tmp_path), "--seed", "1", "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+    def test_config_with_byte_order_mark_reads(self, tmp_path, capsys):
+        cfg = Path(sim_config(tmp_path))
+        cfg.write_text(cfg.read_text(), encoding="utf-8-sig")
+        out = tmp_path / "path.csv"
+        assert main(["simulate", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+        assert "wrote 400 observations" in capsys.readouterr().out
 
     def test_bad_configs_exit_two(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")

@@ -39,7 +39,7 @@ from bubbledate import (
     simulate,
     ssr_split,
 )
-from bubbledate.estimator import REASONS, _curve, _pass, _scan, _tile_pairs, _tile_scans
+from bubbledate.estimator import REASONS, TILE_ROWS, _curve, _pass, _scan, _tile_pairs, _tile_scans
 from bubbledate.rng import stream
 from bubbledate.types import MIN_ESTIMATION_LENGTH
 
@@ -721,6 +721,46 @@ class TestEstimateTile:
         assert [h + r for h, r in zip(head, rest)] == whole
         halves = tile_record(estimate_tile(values[:8], y0[:8])), tile_record(estimate_tile(values[8:], y0[8:]))
         assert [h + r for h, r in zip(*halves)] == whole
+
+    def test_chunked_tile_matches_its_one_row_tiles(self, monkeypatch):
+        import bubbledate.estimator as estimator
+
+        # 37 rows are dated in chunks of 16, 16 and 5; failed rows open a
+        # chunk, sit inside one and end the tile
+        chunks = []
+        tile_scans = estimator._tile_scans
+
+        def recording_scans(values, y0, trimming):
+            chunks.append(values.shape[0])
+            return tile_scans(values, y0, trimming)
+
+        values, y0 = contract_tile()
+        order = np.arange(37) % 16  # contract rows 11 (a NaN) and 12 (all zeros) at rows 11, 12, 27, 28
+        values, y0 = values[order], y0[order]
+        values[0, 20] = np.nan
+        y0[[8, 16]] = np.inf, np.nan
+        values[[24, 32, 36]] = 0.0
+        monkeypatch.setattr(estimator, "_tile_scans", recording_scans)
+        tile = estimate_tile(values, y0)
+        assert chunks == [TILE_ROWS, TILE_ROWS, 37 - 2 * TILE_ROWS]
+        assert np.flatnonzero(tile.failed).tolist() == [0, 8, 11, 12, 16, 24, 27, 28, 32, 36]
+        rows = [tile_record(estimate_tile(values[i:i + 1], y0[i:i + 1])) for i in range(37)]
+        assert tile_record(tile) == [[r[j][0] for r in rows] for j in range(9)]
+
+    def test_tile_memory_is_bounded_by_the_chunk(self):
+        import tracemalloc
+
+        values = stream(12).normal(size=(2000, 800)).cumsum(axis=1)
+        values[700, 300] = np.nan
+        y0 = np.zeros(2000)
+        tracemalloc.start()
+        try:
+            tile = estimate_tile(values, y0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tile.failed.sum() == 1 and tile.failed[700]
+        assert peak < 4e6  # a copy of the 12.8 MB tile would not fit
 
     def test_row_accumulation_matches_one_dimensional(self):
         a = stream(5).normal(size=(16, 800)) * np.exp(20.0 * stream(6).normal(size=(16, 800)))

@@ -290,7 +290,7 @@ def test_golden_digest(name, bic, workers, digest):
 
 
 def count_block_work(monkeypatch):
-    """Record each recursion's (T, cells, rows), each dated tile's rows and each error draw's T."""
+    """Record each recursion's (T, cells, rows), each ``estimate_tile`` call's rows and each error draw's T."""
     import bubbledate.montecarlo as montecarlo
 
     work = {"recursions": [], "tile_rows": [], "error_draws": []}
@@ -320,10 +320,10 @@ def test_serial_run_makes_one_recursion_per_block(monkeypatch):
     work = count_block_work(monkeypatch)
     cfg = small_config(T_grid=(100, 120), phi_b_grid=(0.85,))
     run_experiment(cfg, workers=1)
-    # one block per T: one recursion over the T's cells, one error draw per
-    # replication shared by every cell with that T
+    # one block per T: one recursion and one estimate_tile call over the
+    # T's cells, one error draw per replication shared by every cell with that T
     assert work["recursions"] == [(T, 2, cfg.reps) for T in cfg.T_grid]
-    assert sum(work["tile_rows"]) == len(cfg.cells()) * cfg.reps
+    assert work["tile_rows"] == [2 * cfg.reps for _ in cfg.T_grid]
     assert work["error_draws"] == [T for T in cfg.T_grid for _ in range(cfg.reps)]
 
     # a preset has six cells per T, the anchor pair twice: five distinct
@@ -333,6 +333,7 @@ def test_serial_run_makes_one_recursion_per_block(monkeypatch):
     cfg = replace(preset("volshift-up"), reps=3)
     run_experiment(cfg, workers=1)
     assert work["recursions"] == [(T, 5, cfg.reps) for T in cfg.T_grid]
+    assert work["tile_rows"] == [5 * cfg.reps for _ in cfg.T_grid]
     assert 12 * sum(work["tile_rows"]) == 10 * len(cfg.cells()) * cfg.reps
     assert len(cfg.cells()) * cfg.reps == 6 * len(work["error_draws"])
     assert work["error_draws"] == [T for T in cfg.T_grid for _ in range(cfg.reps)]
@@ -343,7 +344,7 @@ def test_repeated_cell_is_dated_once_and_reported_at_each_position(monkeypatch):
     cfg = small_config(phi_a_grid=(1.05, 1.05), reps=20, bic=True)
     result = run_experiment(cfg, workers=1)
     assert work["recursions"] == [(120, 1, cfg.reps)]
-    assert sum(work["tile_rows"]) == cfg.reps
+    assert work["tile_rows"] == [cfg.reps]
     first, second = result.histograms[:3], result.histograms[3:]
     assert [h.cell for h in first] == [h.cell for h in second] == [CellKey(120, 1.05, 0.90)] * 3
     for a, b in zip(first, second):

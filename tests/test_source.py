@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bubbledate").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "bubbledate").glob("*.py"))
+BENCHMARK_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -145,3 +149,49 @@ def test_read_open_check_flags_every_reading_mode():
         "open('x', encoding='utf-8')\n"
     )
     assert file_opens(tree, writes=False) == [(3, "load"), (3, "load"), (7, "inner"), (8, "<module>")]
+
+
+def unresolved_benchmark_names(trees: list) -> list:
+    """The package names the benchmark modules ``trees`` use and the package lacks.
+
+    These are every name a ``from bubbledate... import`` at any depth
+    imports, every module an ``import bubbledate...`` imports, and every
+    (layer, attr) pair of a ``FOREIGN`` assignment, the functions of other
+    packages that the tracer wraps where a layer binds them.
+    """
+    def resolves(module: str, name: str) -> bool:
+        try:
+            return hasattr(importlib.import_module(module), name) or bool(importlib.util.find_spec(f"{module}.{name}"))
+        except ImportError:
+            return False
+
+    wanted = []
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "bubbledate":
+            wanted += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            wanted += [tuple(a.name.rsplit(".", 1)) for a in node.names if a.name.startswith("bubbledate.")]
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "FOREIGN" for t in node.targets):
+            wanted += [(f"bubbledate.{layer}", attr) for layer, attr in ast.literal_eval(node.value)]
+    return [f"{module}.{name}" for module, name in wanted if not resolves(module, name)]
+
+
+def test_benchmark_names_resolve():
+    trees = [ast.parse(path.read_text()) for path in BENCHMARK_SOURCES]
+    assert {path.name for path in BENCHMARK_SOURCES} >= {"run.py", "tracing.py", "workloads.py"}
+    assert unresolved_benchmark_names(trees) == []
+
+
+def test_benchmark_name_check_flags_missing_names():
+    tree = ast.parse(
+        "import os, bubbledate.cli, bubbledate.nope\n"
+        "from bubbledate import cli, missing\n"
+        "FOREIGN = (('asymptotics', 'lfilter'), ('dgp', 'lfilter'))\n"
+        "def run():\n"
+        "    from bubbledate.estimator import bic_select, estimate_tile, TILE_ROWS, gone\n"
+        "    from bubbledate.types import Series, TrimmingPolicy, BubbleDateError\n"
+        "    from .local import anything\n"
+    )
+    assert unresolved_benchmark_names([tree]) == [
+        "bubbledate.nope", "bubbledate.missing", "bubbledate.dgp.lfilter", "bubbledate.estimator.gone",
+    ]
