@@ -10,11 +10,9 @@ from .asymptotics import (
     BnDecomposition,
     Discretization,
     LimitSample,
-    OuPath,
     bn_decompose,
     emergence_limit_draws,
     recovery_limit_draws,
-    sample_ou_path,
 )
 from .dgp import (
     ErrorSpec,
@@ -36,7 +34,6 @@ from .estimator import (
     estimate_dates,
     estimate_tile,
     fit_segment,
-    ssr_split,
 )
 from .montecarlo import (
     BicTally,

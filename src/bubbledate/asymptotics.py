@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,10 +45,8 @@ from .types import ConfigError, LinearProcessCoeffs
 __all__ = [
     "Discretization",
     "BnDecomposition",
-    "OuPath",
     "LimitSample",
     "bn_decompose",
-    "sample_ou_path",
     "recovery_limit_draws",
     "emergence_limit_draws",
 ]
@@ -59,12 +57,11 @@ __all__ = [
 REJECTION_THRESHOLD = 1e-8
 
 
-def _require_c_b(c_b: float, v_max: float = 1.0) -> float:
+def _require_c_b(c_b: float, v_max: float) -> None:
     """The collapse intensity c_b: positive, with a window v_max finite in natural and in standard units."""
     c_b, v_max = float(c_b), float(v_max)  # Python floats overflow to inf without a warning
     if not (c_b > 0.0 and math.isfinite(v_max / c_b) and math.isfinite(c_b * v_max)):
         raise ConfigError([f"c_b must be positive with v_max / c_b and c_b * v_max finite, got {c_b} (v_max {v_max})"])
-    return c_b
 
 
 @dataclass(frozen=True)
@@ -113,56 +110,35 @@ class BnDecomposition:
 
 
 def bn_decompose(coeffs: LinearProcessCoeffs) -> BnDecomposition:
-    """Long-run decomposition of a finite filter."""
+    """Long-run decomposition of a finite filter; ConfigError where float64 cannot hold a sum it needs."""
     psi = coeffs.as_array()
-    psi_sum = float(psi.sum())
-    if psi_sum == 0.0:
-        raise ConfigError(["filter coefficients sum to zero, so no long-run scale exists"])
-    tails = np.cumsum(psi[::-1])[::-1]  # tails[l] = sum_{k >= l} psi_k
-    psi_tilde = np.concatenate([tails[1:], [0.0]])
-    cross = float(np.dot(psi_tilde[:-1], psi_tilde[1:])) if psi_tilde.size > 1 else 0.0
-    psi_check = (4.0 / psi_sum**2) * (
-        psi_sum * float(psi_tilde[0]) - float(np.dot(psi_tilde, psi_tilde)) + cross
-    )
-    return BnDecomposition(
-        psi_sum=psi_sum,
-        psi_tilde=psi_tilde,
-        psi_check=psi_check,
-        psi_sq_sum=float(np.dot(psi, psi)),
-    )
-
-
-@dataclass(frozen=True)
-class OuPath:
-    """Discretized tail process with the Brownian increments that drove it.
-
-    ``b_tilde[i]`` is the discrete tail process at grid[i] in natural units,
-    b_tilde[i] = db1[i] + rho * b_tilde[i+1] with rho = exp(-c_b * step); it
-    is exactly stationary, with variance step / (1 - rho^2) at every grid point.
-    ``db1[i]`` is the increment of B_1 over [grid[i], grid[i+1]), shared
-    with the stochastic integrals on the negative branch of the recovery
-    objective.
-    """
-
-    grid: np.ndarray = field(repr=False)
-    b_tilde: np.ndarray = field(repr=False)
-    db1: np.ndarray = field(repr=False)
-    c_b: float
-    step: float
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is a ConfigError, not a warning
+        psi_sum = float(psi.sum())
+        try:
+            square = psi_sum**2
+        except OverflowError:  # a float power raises where a product gives inf
+            square = math.inf
+        if not 0.0 < square < math.inf:  # checked before any division
+            raise ConfigError([f"filter coefficients sum to {psi_sum or 'zero'}, so no long-run scale exists in float64"])
+        tails = np.cumsum(psi[::-1])[::-1]  # tails[l] = sum_{k >= l} psi_k
+        psi_tilde = np.concatenate([tails[1:], [0.0]])
+        cross = float(np.dot(psi_tilde[:-1], psi_tilde[1:])) if psi_tilde.size > 1 else 0.0
+        psi_check = (4.0 / square) * (psi_sum * float(psi_tilde[0]) - float(np.dot(psi_tilde, psi_tilde)) + cross)
+        psi_sq_sum = float(np.dot(psi, psi))
+    if not (math.isfinite(psi_check) and math.isfinite(psi_sq_sum)):
+        raise ConfigError([f"filter coefficients give psi_check {psi_check} and sum of squares {psi_sq_sum}, not both finite"])
+    return BnDecomposition(psi_sum=psi_sum, psi_tilde=psi_tilde, psi_check=psi_check, psi_sq_sum=psi_sq_sum)
 
 
 # named lfilter because perfbench's tracer looks it up as asymptotics.lfilter
-def lfilter(rho: float, x: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+def lfilter(rho: float, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Overwrite the float64 array x, holding d, with x[-1] = d[-1], x[i] = d[i] + rho * x[i+1], by recursive doubling.
 
     For s = 1, 2, 4, ... < len(x), a pass adds rho^s * x[i+s] to x[i], which
     turns x[i] = sum_{k<s} rho^k d[i+k] into the same sum over k < 2s.
-    ``scratch`` holds at least len(x) - 1 floats; without it one is allocated.
-    Returns x.
+    ``scratch`` holds at least len(x) - 1 floats.  Returns x.
     """
     n = x.size
-    if scratch is None:
-        scratch = np.empty(n)
     r, s = rho, 1
     while s < n:
         shifted = np.multiply(x[s:], r, out=scratch[: n - s])
@@ -171,25 +147,14 @@ def lfilter(rho: float, x: np.ndarray, scratch: Optional[np.ndarray] = None) -> 
     return x
 
 
-def _tail_process(step: float, rng, b_tilde: np.ndarray, db1: np.ndarray, scratch=None) -> None:
-    """Fill db1 (n cells) with dB_1 and b_tilde (n + 1 points) with unit-intensity B~, B~ at the end from its stationary law; no checks."""
+def _tail_process(step: float, rng, b_tilde: np.ndarray, db1: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill db1 (n cells) with dB_1 and b_tilde (n + 1 points) with unit-intensity B~, its end from the stationary law; no checks."""
     n = db1.shape[0]
     rng.standard_normal(out=db1)
     db1 *= math.sqrt(step)
     b_tilde[:n] = db1
     b_tilde[n] = rng.standard_normal() * math.sqrt(step / -math.expm1(-2.0 * step))
     lfilter(math.exp(-step), b_tilde, scratch)
-
-
-def sample_ou_path(c_b: float, disc: Discretization, rng: np.random.Generator) -> OuPath:
-    """One natural-unit tail-process path on [0, v_max]: the standard path at step c_b * step over sqrt(c_b)."""
-    scale = math.sqrt(_require_c_b(c_b, disc.v_max))
-    n = disc.n_grid()
-    b_tilde, db1 = np.empty(n + 1), np.empty(n)
-    _tail_process(c_b * disc.step, rng, b_tilde, db1)
-    b_tilde /= scale
-    db1 /= scale
-    return OuPath(grid=np.arange(n + 1) * disc.step, b_tilde=b_tilde, db1=db1, c_b=c_b, step=disc.step)
 
 
 class _Workspace:
@@ -323,18 +288,16 @@ def recovery_limit_draws(
     draws: int = 10_000,
     disc: Discretization = Discretization(),
     seed: int = 0,
-    correction: Union[LinearProcessCoeffs, BnDecomposition, None] = None,
+    correction: LinearProcessCoeffs = LinearProcessCoeffs((1.0,)),
 ) -> LimitSample:
     """Batch of independent recovery-limit draws: the c_b = 1 draws on ``disc`` divided by c_b.
 
-    ``correction`` is a ``LinearProcessCoeffs``, its ``bn_decompose``, or None for white noise.
-    Draw i comes from the (seed, i) stream, so any subset or reordering of
-    the batch reproduces the same values.
+    ``correction`` is the error filter, white noise by default, whose
+    ``bn_decompose`` sets the penalties.  Draw i comes from the (seed, i)
+    stream, so any subset or reordering of the batch reproduces the same values.
     """
     _require_c_b(c_b, disc.v_max)
-    if correction is None:
-        correction = LinearProcessCoeffs((1.0,))
-    bn = correction if isinstance(correction, BnDecomposition) else bn_decompose(correction)
+    bn = bn_decompose(correction)
     sample = _draw_batch(partial(_one_recovery_draw, bn), disc, draws, seed)
     return LimitSample(values=sample.values / c_b, rejections=sample.rejections)
 

@@ -194,17 +194,15 @@ def cmd_mc(args) -> int:
 
 
 def cmd_limitdist(args) -> int:
-    correction = None
+    correction = LinearProcessCoeffs((1.0,))
     if args.psi is not None:
         try:
-            coeffs = tuple(float(x) for x in args.psi.split(","))
+            correction = LinearProcessCoeffs(tuple(float(x) for x in args.psi.split(",")))
         except ValueError:
             raise ConfigError([f"cannot parse --psi {args.psi!r} as comma-separated numbers"]) from None
-        correction = LinearProcessCoeffs(coeffs)
     disc = Discretization(step=args.step, v_max=args.vmax)
     if args.law == "recovery":
-        bn = bn_decompose(correction) if correction is not None else None
-        sample = recovery_limit_draws(args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=bn)
+        sample = recovery_limit_draws(args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=correction)
         scale = args.cb
     else:
         sample = emergence_limit_draws(args.tau_e, draws=args.draws, disc=disc, seed=args.seed)
@@ -225,8 +223,8 @@ def cmd_limitdist(args) -> int:
     }
     if args.law == "recovery":
         summary["c_b"] = args.cb
-        if bn is not None:
-            summary["psi_check"] = bn.psi_check
+        if args.psi is not None:
+            summary["psi_check"] = bn_decompose(correction).psi_check
     else:
         summary["tau_e"] = args.tau_e
     dataio.write_json(summary)

@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# size in pixels of the --svg histograms, and bins of the limitdist histogram file
+SVG_WIDTH, SVG_HEIGHT = 640, 320
+DRAW_HISTOGRAM_BINS = 50
 
 
 class IngestError(BubbleDateError):
@@ -380,9 +383,9 @@ def write_bic_csv(path: str, tallies: list) -> None:
                        for t in tallies)])
 
 
-def histogram_svg(result: HistogramResult, width: int = 640, height: int = 320) -> str:
-    """Static SVG bar chart of one cell histogram; no plotting dependency."""
-    margin = 40
+def histogram_svg(result: HistogramResult) -> str:
+    """Static SVG bar chart of one cell histogram, SVG_WIDTH by SVG_HEIGHT; no plotting dependency."""
+    width, height, margin = SVG_WIDTH, SVG_HEIGHT, 40
     bins = result.bins
     title = (
         f"{result.target.value} | T={result.cell.T} "
@@ -422,8 +425,8 @@ def write_draws_csv(path: str, values: np.ndarray) -> None:
     write_csv(path, [("draw", "value"), *enumerate(values.tolist())])
 
 
-def write_draw_histogram_csv(path: str, values: np.ndarray, n_bins: int = 50) -> None:
-    counts, edges = np.histogram(values, bins=n_bins)
+def write_draw_histogram_csv(path: str, values: np.ndarray) -> None:
+    counts, edges = np.histogram(values, bins=DRAW_HISTOGRAM_BINS)
     total = values.shape[0]
     edges = edges.tolist()
     rows = [("bin_lo", "bin_hi", "count", "density")]

@@ -53,7 +53,6 @@ __all__ = [
     "DegenerateSegmentError",
     "EmptyRangeError",
     "fit_segment",
-    "ssr_split",
     "estimate_tile",
     "estimate_dates",
     "bic_select",
@@ -258,13 +257,6 @@ def fit_segment(series: Series, start: int, end: int) -> SegmentFit:
     n_obs = end - start + 1 - (start == 1 and series.y0 is None)
     lag, value = window
     return SegmentFit(phi_hat=float((lag * value).sum() / S[-1]), ssr=float(ssr[-1]), n_obs=n_obs)
-
-
-def ssr_split(series: Series, k: int) -> float:
-    """Total SSR of the two-segment fit splitting the full sample at k."""
-    if not (1 <= k < series.T):
-        raise EmptyRangeError(f"split k={k} leaves an empty segment for T={series.T}")
-    return fit_segment(series, 1, k).ssr + fit_segment(series, k + 1, series.T).ssr
 
 
 def _scan(forward, backward, a: int, b: int, lo: np.ndarray, hi: np.ndarray) -> TileScan:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bubbledate import asymptotics, bn_decompose, recovery_limit_draws
+from bubbledate import asymptotics, bn_decompose, fit_segment, recovery_limit_draws
 from bubbledate.rng import stream
 
 # mirror of the library's guards, applied to independently computed sums
@@ -47,6 +47,11 @@ def naive_segment_fit(values, y0, start, end):
         resid = values[t - 1] - phi * lag
         ssr += resid * resid
     return phi, ssr
+
+
+def segment_split_ssr(series, k):
+    """SSR of the two ``fit_segment`` fits that split the full sample at k."""
+    return fit_segment(series, 1, k).ssr + fit_segment(series, k + 1, series.T).ssr
 
 
 def naive_split_ssr(values, y0, k):
@@ -196,6 +201,15 @@ def three_phase_tent(T=40, k_e=16, k_c=24, k_r=32, up=1.2, down=0.8):
 def two_sided(t, neg_rev, pos):
     """(v_grid, values) on -t[::-1], 0, t from the branches in ascending v, zero at v = 0."""
     return np.concatenate([-t[::-1], [0.0], t]), np.concatenate([neg_rev, [0.0], pos])
+
+
+def natural_tail_process(c_b, disc, rng):
+    """(b_tilde, db1) of the tail process at intensity c_b on [0, v_max]: the standard one at step c_b * step over sqrt(c_b)."""
+    n = disc.n_grid()
+    b_tilde, db1 = np.empty(n + 1), np.empty(n)
+    asymptotics._tail_process(c_b * disc.step, rng, b_tilde, db1, np.empty(n))
+    scale = math.sqrt(c_b)
+    return b_tilde / scale, db1 / scale
 
 
 def _doubling_filter(rho, d):

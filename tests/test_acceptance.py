@@ -7,14 +7,12 @@ runtime; everything in it is deterministic.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from conftest import naive_split_ssr
+from conftest import naive_split_ssr, natural_tail_process, segment_split_ssr
 
 from bubbledate import (
     DgpConfig,
@@ -32,8 +30,6 @@ from bubbledate import (
     preset,
     recovery_limit_draws,
     run_experiment,
-    sample_ou_path,
-    ssr_split,
 )
 from bubbledate.montecarlo import _BASE_DGP
 from bubbledate.rng import stream
@@ -82,7 +78,7 @@ def test_criterion_03_recovery_regime_contrast(baseline_result):
     assert easy > hard
 
 
-def test_criterion_04_prefix_sums_match_naive_recomputation():
+def test_criterion_04_split_ssr_from_segment_fits_matches_naive_refit():
     rng = stream(2026)
     checked = 0
     worst = 0.0
@@ -94,7 +90,7 @@ def test_criterion_04_prefix_sums_match_naive_recomputation():
         # without a presample the first regression time is t = 2, so the
         # left segment of a k = 1 split would be empty
         for k in range(1 if y0 is not None else 2, T):
-            fast = ssr_split(series, k)
+            fast = segment_split_ssr(series, k)
             naive = naive_split_ssr(values, y0, k)
             rel = abs(fast - naive) / max(abs(naive), 1e-300)
             worst = max(worst, rel)
@@ -138,7 +134,7 @@ def test_criterion_06_ou_second_moment():
         disc = Discretization(step=step, v_max=1.0)
         rng = stream(6, j)
         m2 = float(
-            np.mean([sample_ou_path(c_b, disc, rng).b_tilde[0] ** 2 for _ in range(10_000)])
+            np.mean([natural_tail_process(c_b, disc, rng)[0][0] ** 2 for _ in range(10_000)])
         )
         want = 1.0 / (2.0 * c_b)
         errs[c_b] = abs(m2 - want) / want
@@ -147,15 +143,26 @@ def test_criterion_06_ou_second_moment():
     print(f"criterion 6: second-moment errors {printed} (need <= 5%)")
 
 
-def test_criterion_07_white_noise_correction_is_neutral(default_recovery_sample):
-    white = LinearProcessCoeffs((1.0,))
-    assert bn_decompose(white).psi_check == 0.0
-    plain = default_recovery_sample
-    corrected = recovery_limit_draws(1.0, draws=10_000, seed=0, correction=white)
-    ks = stats.ks_2samp(plain.values, corrected.values)
-    critical = 1.628 * math.sqrt(2.0 / 10_000)  # two-sample KS at the 1% level
-    print(f"criterion 7: KS statistic {ks.statistic:.5f} (need < {critical:.5f})")
-    assert ks.statistic < critical
+def test_criterion_07_white_noise_correction_is_neutral():
+    # a 10-unit window keeps the seven batches of 300 draws fast
+    disc = Discretization(v_max=10.0)
+    default = recovery_limit_draws(1.0, draws=300, disc=disc, seed=4)
+    # white noise at any scale sigma leaves both penalties at one: the default draws, bit for bit
+    for sigma in (0.3, 2.0, 7.5):
+        white = LinearProcessCoeffs((sigma,))
+        bn = bn_decompose(white)
+        assert bn.psi_check == 0.0
+        assert bn.psi_sq_sum / bn.psi_sum**2 == 1.0
+        scaled = recovery_limit_draws(1.0, draws=300, disc=disc, seed=4, correction=white)
+        assert np.array_equal(scaled.values, default.values)
+        assert scaled.rejections == default.rejections
+    # psi = (1, eps) moves the penalties by O(eps), so its draws approach the default ones as eps falls
+    shares = []
+    for eps in (1e-1, 1e-2, 1e-4):
+        near = recovery_limit_draws(1.0, draws=300, disc=disc, seed=4, correction=LinearProcessCoeffs((1.0, eps)))
+        shares.append(float(np.mean(near.values == default.values)))
+    print(f"criterion 7: white noise neutral at 3 scales; shares equal to the default at eps 1e-1, 1e-2, 1e-4: {shares}")
+    assert shares[0] < shares[1] < shares[2] == 1.0
 
 
 def test_criterion_08_bic_prefers_four_regimes_on_strong_paths():

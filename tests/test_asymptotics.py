@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import naive_backward_recursion, naive_emergence_draws, naive_recovery_draws, two_sided
+from conftest import (
+    naive_backward_recursion,
+    naive_emergence_draws,
+    naive_recovery_draws,
+    natural_tail_process,
+    two_sided,
+)
 
 from bubbledate import (
     ConfigError,
@@ -16,7 +22,6 @@ from bubbledate import (
     bn_decompose,
     emergence_limit_draws,
     recovery_limit_draws,
-    sample_ou_path,
 )
 from bubbledate import asymptotics
 from bubbledate.asymptotics import _argmax_v, _emergence_objective, _recovery_objective, _Workspace, lfilter
@@ -176,14 +181,6 @@ class TestTwoSidedArgmax:
 
 
 class TestNoSharedMemory:
-    def test_ou_paths(self):
-        disc = Discretization(step=0.01, v_max=1.0)
-        a, b = sample_ou_path(1.0, disc, stream(50)), sample_ou_path(1.0, disc, stream(50))
-        arrays = [a.grid, a.b_tilde, a.db1, b.grid, b.b_tilde, b.db1]
-        for i, x in enumerate(arrays):
-            for y in arrays[i + 1 :]:
-                assert not np.shares_memory(x, y)
-
     @pytest.mark.parametrize("draw", [
         lambda: recovery_limit_draws(1.0, draws=3, seed=51),
         lambda: recovery_limit_draws(0.5, draws=3, seed=51, correction=PSI),
@@ -262,30 +259,44 @@ class TestBnDecompose:
         with pytest.raises(ConfigError, match="sum to zero"):
             bn_decompose(LinearProcessCoeffs((1.0, -1.0)))
 
+    @pytest.mark.parametrize("psi", [
+        (1e200, 1e200),  # the square of the sum overflows
+        (1e-200, 1e-200),  # the square of the sum underflows to zero
+        (1e-170,),
+        (1e308, 1e308),  # the sum itself overflows
+        (1e-160,),  # 4 / psi_sum^2 overflows, so psi_check is 0 * inf
+        (1e160, -1e160, 1.0),  # a finite sum over squares that overflow
+    ])
+    def test_extreme_filters_rejected(self, psi):
+        # a ConfigError, not a numpy warning, a float exception or a NaN
+        with pytest.raises(ConfigError, match="filter coefficients"):
+            bn_decompose(LinearProcessCoeffs(psi))
+
 
 @pytest.mark.parametrize("rho", [0.0, math.exp(-1e-8), math.exp(-0.01), math.exp(-1.0)])
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 5001])
 def test_lfilter_matches_backward_loop(n, rho):
     d = stream(n).standard_normal(n)
     ref = np.array(naive_backward_recursion(rho, d))
-    got = lfilter(rho, d)
+    got = lfilter(rho, d, np.empty(n))
     assert got.shape == (n,)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestOuSampler:
+    """The tail process from ``_tail_process``, taken to natural units as ``natural_tail_process`` does."""
+
     def test_path_shapes_and_grid(self):
         disc = Discretization(step=0.01, v_max=2.0)
-        path = sample_ou_path(1.0, disc, stream(3))
-        assert path.b_tilde.shape == (201,)
-        assert path.db1.shape == (200,)
-        assert path.grid[0] == 0.0
-        assert path.grid[-1] == pytest.approx(2.0)
+        b_tilde, db1 = natural_tail_process(1.0, disc, stream(3))
+        assert b_tilde.shape == (201,)
+        assert db1.shape == (200,)
+        assert disc.n_grid() * disc.step == pytest.approx(2.0)
 
     def test_stationary_second_moment(self):
         disc = Discretization(step=0.01, v_max=5.0)
         rng = stream(100)
-        paths = np.array([sample_ou_path(1.0, disc, rng).b_tilde for _ in range(N_DRAWS)])
+        paths = np.array([natural_tail_process(1.0, disc, rng)[0] for _ in range(N_DRAWS)])
         for s in (0.0, 1.0, 2.0):
             idx = int(round(s / disc.step))
             m2 = float((paths[:, idx] ** 2).mean())
@@ -298,7 +309,7 @@ class TestOuSampler:
         # variance by 2*c_b*step / (1 - exp(-2*c_b*step))
         disc = Discretization(step=1e-4, v_max=0.05)
         rng = stream(101)
-        v0 = np.array([sample_ou_path(100.0, disc, rng).b_tilde[0] for _ in range(N_DRAWS)])
+        v0 = np.array([natural_tail_process(100.0, disc, rng)[0][0] for _ in range(N_DRAWS)])
         assert float((v0**2).mean()) == pytest.approx(0.005, rel=0.10)
 
     def test_exact_start_at_weak_mean_reversion(self):
@@ -306,33 +317,34 @@ class TestOuSampler:
         # both ends must carry the recursion's stationary variance
         disc = Discretization(step=0.01, v_max=1.0)
         rng = stream(102)
-        paths = np.array([sample_ou_path(0.25, disc, rng).b_tilde for _ in range(N_DRAWS)])
+        paths = np.array([natural_tail_process(0.25, disc, rng)[0] for _ in range(N_DRAWS)])
         want = disc.step / -math.expm1(-2.0 * 0.25 * disc.step)
         assert float((paths[:, 0] ** 2).mean()) == pytest.approx(want, rel=0.05)
         assert float((paths[:, -1] ** 2).mean()) == pytest.approx(want, rel=0.05)
 
     def test_deterministic_given_seed(self):
         disc = Discretization(step=0.01, v_max=1.0)
-        a = sample_ou_path(1.0, disc, stream(9))
-        b = sample_ou_path(1.0, disc, stream(9))
-        assert np.array_equal(a.b_tilde, b.b_tilde)
-        assert np.array_equal(a.db1, b.db1)
+        a = natural_tail_process(1.0, disc, stream(9))
+        b = natural_tail_process(1.0, disc, stream(9))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_nonpositive_mean_reversion_rejected(self):
+        # the intensity is checked where the tail process is used, by the recovery sampler
         for bad in (0.0, 1e-310, math.nan, math.inf):
             with pytest.raises(ConfigError):
-                sample_ou_path(bad, Discretization(), stream(0))
-        with pytest.raises(ConfigError):  # c_b * v_max overflows, and with it the standard step
-            sample_ou_path(1.7e308, Discretization(step=10.0, v_max=1000.0), stream(0))
+                recovery_limit_draws(bad, draws=1, disc=Discretization())
+        with pytest.raises(ConfigError):  # c_b * v_max overflows
+            recovery_limit_draws(1.7e308, draws=1, disc=Discretization(step=10.0, v_max=1000.0))
 
 
 class TestRecoveryObjective:
     def test_zero_at_origin(self):
         disc = Discretization(step=0.01, v_max=1.0)
-        path = sample_ou_path(1.0, disc, stream(21))
+        b_tilde, db1 = natural_tail_process(1.0, disc, stream(21))
         db2 = stream(22).standard_normal(100) * math.sqrt(0.01)
         ws = _Workspace(disc)
-        v_grid, values = two_sided(ws.t, *_recovery_objective(ws, path.b_tilde, path.db1, db2, 1.0, 1.0))
+        v_grid, values = two_sided(ws.t, *_recovery_objective(ws, b_tilde, db1, db2, 1.0, 1.0))
         assert v_grid.shape == values.shape == (201,)
         assert v_grid[100] == 0.0
         assert values[100] == 0.0
@@ -395,7 +407,7 @@ class TestRecoveryLaw:
     @pytest.mark.parametrize("c_b", [0.2, 3.0])
     @pytest.mark.parametrize("psi", [None, (1.0, 0.5)])
     def test_draws_are_the_standard_law_scaled(self, c_b, psi):
-        correction = None if psi is None else LinearProcessCoeffs(psi)
+        correction = LinearProcessCoeffs(psi or (1.0,))
         scaled = recovery_limit_draws(c_b, draws=30, seed=6, correction=correction)
         standard = recovery_limit_draws(1.0, draws=30, seed=6, correction=correction)
         assert np.array_equal(scaled.values, standard.values / c_b)

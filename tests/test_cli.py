@@ -547,6 +547,12 @@ class TestLimitdistCommand:
                      "--draws", "2", "--vmax", "5", "--out", prefix]) == 2
         assert "sum to zero" in capsys.readouterr().err
         assert not os.path.exists(prefix + "_draws.csv")
+        # a sum whose square overflows float64 is as unusable as a zero one
+        assert main(["limitdist", "recovery", "--psi", "1e200,1e200", "--seed", "0",
+                     "--draws", "5", "--vmax", "5", "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: filter coefficients sum to") and err.count("\n") == 1
+        assert not os.path.exists(prefix + "_draws.csv")
 
 
 def test_undecodable_inputs_exit_two(tmp_path, capsys):

@@ -29,6 +29,7 @@ from bubbledate import (
     VolatilityScaled,
 )
 from bubbledate.dataio import (
+    DRAW_HISTOGRAM_BINS,
     IngestError,
     IngestSpec,
     dgp_config_from_dict,
@@ -496,10 +497,10 @@ class TestResultWriters:
     def test_draw_histogram_density_integrates_to_one(self, tmp_path):
         values = stream(8).normal(size=500)
         path = tmp_path / "hist.csv"
-        write_draw_histogram_csv(str(path), values, n_bins=30)
+        write_draw_histogram_csv(str(path), values)
         rows = list(csv.reader(open(path)))
         assert rows[0] == ["bin_lo", "bin_hi", "count", "density"]
-        assert len(rows) == 31
+        assert len(rows) == DRAW_HISTOGRAM_BINS + 1
         total_count = sum(int(r[2]) for r in rows[1:])
         assert total_count == 500
         mass = sum(

@@ -15,6 +15,7 @@ from conftest import (
     naive_sequential_dates,
     naive_split_ssr,
     naive_window_scan,
+    segment_split_ssr,
     three_phase_tent,
 )
 
@@ -37,7 +38,6 @@ from bubbledate import (
     estimate_tile,
     fit_segment,
     simulate,
-    ssr_split,
 )
 from bubbledate.estimator import REASONS, TILE_ROWS, _curve, _pass, _scan, _tile_pairs, _tile_scans
 from bubbledate.rng import stream
@@ -185,7 +185,7 @@ def test_golden_segment_fits():
                     continue
                 h.update(repr((fit.phi_hat.hex(), fit.ssr.hex(), fit.n_obs)).encode())
     series = Series(walk, y0=0.5)
-    h.update(repr([ssr_split(series, k).hex() for k in range(1, 120)]).encode())
+    h.update(repr([segment_split_ssr(series, k).hex() for k in range(1, 120)]).encode())
     assert h.hexdigest() == "fa31b8796e3e8c6811c32e68360af3712e2b85caec68def67fc96cffc87bb6d6"
 
 
@@ -193,16 +193,16 @@ class TestSplitScan:
     def test_tent_split_is_exact_at_kink(self):
         values = growth_decay_tent(20, 10, 1.2, 0.8)
         s = Series(values, y0=1.0)
-        assert abs(ssr_split(s, 10)) < 1e-10
-        assert ssr_split(s, 9) > 1.0
-        assert ssr_split(s, 11) > 1.0
+        assert abs(segment_split_ssr(s, 10)) < 1e-10
+        assert segment_split_ssr(s, 9) > 1.0
+        assert segment_split_ssr(s, 11) > 1.0
 
     def test_split_matches_naive_everywhere(self):
         rng = stream(7)
         values = rng.normal(size=40).cumsum()
         s = Series(values, y0=0.5)
         for k in range(1, 40):
-            assert ssr_split(s, k) == pytest.approx(
+            assert segment_split_ssr(s, k) == pytest.approx(
                 naive_split_ssr(values, 0.5, k), rel=1e-9
             )
 

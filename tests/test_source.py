@@ -5,11 +5,13 @@ import ast
 import importlib
 import importlib.util
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "bubbledate").glob("*.py"))
+PACKAGE = ROOT / "src" / "bubbledate"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 BENCHMARK_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -80,6 +82,29 @@ def test_unbound_export_check_flags_stale_names():
         "D: int = 1\n"
     )
     assert unbound_exports(tree) == ["B", "E"]
+
+
+# the names ``import bubbledate`` binds, submodules left out: adding or deleting a public name edits this list
+PUBLIC_NAMES = [
+    "BicReport", "BicTally", "BnDecomposition", "BreakEstimates", "BubbleDateError", "CellKey", "ConfigError",
+    "DegenerateSegmentError", "DgpConfig", "Discretization", "EmptyRangeError", "ErrorSpec", "ExperimentConfig",
+    "ExperimentResult", "HistogramResult", "IidGaussian", "LimitSample", "LinearProcess", "LinearProcessCoeffs",
+    "ModelChoice", "SegmentFit", "Series", "SeriesValidationError", "SingleShiftVolatility", "Target",
+    "TileEstimates", "TrimmingPolicy", "UnavailableReason", "VolatilityScaled", "batch_paths", "bic_select",
+    "bn_decompose", "emergence_limit_draws", "estimate_dates", "estimate_tile", "fit_segment", "generate_errors",
+    "preset", "recovery_limit_draws", "run_experiment", "simulate", "validate_series",
+]
+
+
+def test_public_namespace_is_pinned():
+    package = importlib.import_module("bubbledate")
+    public = [name for name, value in vars(package).items() if not name.startswith("_") and not isinstance(value, ModuleType)]
+    assert sorted(public) == PUBLIC_NAMES
+    # each name comes from a layer that lists it in its own __all__
+    layer_of = {alias.name: node.module for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for name in PUBLIC_NAMES:
+        assert name in exported(ast.parse((PACKAGE / f"{layer_of[name]}.py").read_text())), name
 
 
 def file_opens(tree: ast.Module, writes: bool) -> list:
