@@ -19,7 +19,6 @@ from .dgp import (
     IidGaussian,
     LinearProcess,
     VolatilityScaled,
-    batch_paths,
     generate_errors,
     simulate,
 )

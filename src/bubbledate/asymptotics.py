@@ -58,10 +58,10 @@ REJECTION_THRESHOLD = 1e-8
 
 
 def _require_c_b(c_b: float, v_max: float) -> None:
-    """The collapse intensity c_b: positive, with a window v_max finite in natural and in standard units."""
+    """The collapse intensity c_b: positive and finite, with the natural window v_max / c_b finite."""
     c_b, v_max = float(c_b), float(v_max)  # Python floats overflow to inf without a warning
-    if not (c_b > 0.0 and math.isfinite(v_max / c_b) and math.isfinite(c_b * v_max)):
-        raise ConfigError([f"c_b must be positive with v_max / c_b and c_b * v_max finite, got {c_b} (v_max {v_max})"])
+    if not (0.0 < c_b < math.inf and math.isfinite(v_max / c_b)):
+        raise ConfigError([f"c_b must be positive and finite with v_max / c_b finite, got {c_b} (v_max {v_max})"])
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,11 @@ def _break_payload(k, reason, rng, labels) -> dict:
     return out
 
 
+def _number(x):
+    """x as a JSON number, or None (null) where it is not finite."""
+    return float(x) if math.isfinite(x) else None
+
+
 def _column(ref):
     """A --value-column/--date-column argument: a 0-based index if it reads as an integer, else a name."""
     return int(ref) if ref is not None and ref.lstrip("-").isdigit() else ref
@@ -134,7 +139,7 @@ def cmd_estimate(args) -> int:
     }
     if args.bic:
         payload["bic"] = {
-            "values": {m.value: (None if math.isinf(v) else v) for m, v in report.bic.items()},
+            "values": {m.value: _number(v) for m, v in report.bic.items()},
             "chosen": report.chosen.value,
             "dates": {m.value: (list(d) if d else None) for m, d in report.dates.items()},
             "n_obs": report.n_obs,
@@ -203,21 +208,21 @@ def cmd_limitdist(args) -> int:
     disc = Discretization(step=args.step, v_max=args.vmax)
     if args.law == "recovery":
         sample = recovery_limit_draws(args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=correction)
-        scale = args.cb
     else:
         sample = emergence_limit_draws(args.tau_e, draws=args.draws, disc=disc, seed=args.seed)
-        scale = 1.0
-    values = sample.values
+    values, scale = sample.values, (args.cb if args.law == "recovery" else 1.0)
     dataio.write_draws_csv(args.out + "_draws.csv", values)
     dataio.write_draw_histogram_csv(args.out + "_hist.csv", values)
-    q = np.quantile(values, [0.1, 0.25, 0.5, 0.75, 0.9])
+    with np.errstate(over="ignore", invalid="ignore"):  # sums over draws near the float64 limit overflow
+        q = [_number(x) for x in np.quantile(values, [0.1, 0.25, 0.5, 0.75, 0.9])]
+        mean, std = values.mean(), values.std(ddof=1) if values.shape[0] > 1 else math.nan
     summary = {
         "law": args.law,
         "draws": int(values.shape[0]),
         "rejections": sample.rejections,
         "discretization": asdict(disc),
-        "mean": float(values.mean()),
-        "std": float(values.std(ddof=1)) if values.shape[0] > 1 else None,
+        "mean": _number(mean),
+        "std": _number(std),
         "quantiles": {"q10": q[0], "q25": q[1], "q50": q[2], "q75": q[3], "q90": q[4]},
         "window_edge_share": float(np.mean(np.abs(values) * scale >= 0.9 * disc.v_max)),
     }

@@ -187,8 +187,8 @@ def write_csv(path: str, rows, head: str = "") -> None:
 
 
 def write_json(payload: dict, path: Optional[str] = None) -> None:
-    """Write payload as JSON to path, or to standard output when path is None."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write payload as strict JSON (no NaN or Infinity) to path, or to standard output when path is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None:
         print(text, end="")
     else:

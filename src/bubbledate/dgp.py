@@ -17,7 +17,6 @@ __all__ = [
     "ErrorSpec",
     "generate_errors",
     "simulate",
-    "batch_paths",
 ]
 
 
@@ -83,7 +82,7 @@ def generate_errors(spec: ErrorSpec, T: int, rng: np.random.Generator) -> np.nda
 def _regime_recursion(config: DgpConfig, phi_a: np.ndarray, phi_b: np.ndarray, errors: np.ndarray) -> np.ndarray:
     """Run the regime recursion for several coefficient pairs on one (rows, T) error matrix.
 
-    ``config`` supplies T, the break dates, the drifts and y_0; ``phi_a``
+    ``config`` supplies the break dates for T, the drifts and y_0; ``phi_a``
     and ``phi_b`` hold one coefficient per cell, shape (cells, 1).  Returns
     a time-major (T+1, cells, rows) array whose slice [0] is y_0.  Each
     step is one elementwise operation on a contiguous (cells, rows) slice
@@ -91,8 +90,6 @@ def _regime_recursion(config: DgpConfig, phi_a: np.ndarray, phi_b: np.ndarray, e
     bit for bit, the one-row, one-cell path of its coefficients and errors.
     """
     rows, T = errors.shape
-    if T != config.T:
-        raise ConfigError([f"error matrix has T={T}, config expects {config.T}"])
     k_e, k_c, k_r = config.break_indices
     d0 = config.drift_pre_value
     d1 = config.drift_post_value
@@ -112,21 +109,9 @@ def _regime_recursion(config: DgpConfig, phi_a: np.ndarray, phi_b: np.ndarray, e
     return y
 
 
-def batch_paths(config: DgpConfig, errors: np.ndarray) -> np.ndarray:
-    """Run the regime recursion of config on a (reps, T) error matrix.
-
-    Returns a (reps, T+1) array whose column 0 is y_0.  Every row goes
-    through the same elementwise operations, so row r of a batch equals,
-    bit for bit, the one-row batch of row r's errors.
-    """
-    errors = np.atleast_2d(np.asarray(errors, dtype=np.float64))
-    coeff = np.array([[config.phi_a]]), np.array([[config.phi_b]])
-    return np.ascontiguousarray(_regime_recursion(config, *coeff, errors)[:, 0, :].T)
-
-
 def simulate(config: DgpConfig, errors: ErrorSpec, seed: int) -> Series:
     """Simulate one path from the root stream of seed and wrap it as a Series carrying its y_0."""
     eps = generate_errors(errors, config.T, stream(seed))
-    y = batch_paths(config, eps[np.newaxis, :])[0]
+    y = _regime_recursion(config, np.array([[config.phi_a]]), np.array([[config.phi_b]]), eps[np.newaxis])[:, 0, 0]
     return Series(y[1:], y0=float(y[0]))
 

@@ -260,7 +260,7 @@ def fit_segment(series: Series, start: int, end: int) -> SegmentFit:
 
 
 def _scan(forward, backward, a: int, b: int, lo: np.ndarray, hi: np.ndarray) -> TileScan:
-    """SSR scan of each tile row's splits k in [lo, hi], among the candidates a..b.
+    """SSR scan of each tile row's splits k in [lo, hi], among the candidates 1 <= a..b < T.
 
     ``forward`` and ``backward`` are (offset, zero S counts, SSRs) of
     ``_pass`` reads of the rows of a (rows, T) tile, each row led by a zero
@@ -276,10 +276,6 @@ def _scan(forward, backward, a: int, b: int, lo: np.ndarray, hi: np.ndarray) -> 
     """
     (o1, z1, ssr1), (o2, z2, ssr2) = forward, backward
     rows, T = ssr1.shape[0], o1 + ssr1.shape[1] - 1
-    if a > b:
-        raise EmptyRangeError("empty candidate range")
-    if not (1 <= a and b < T):
-        raise EmptyRangeError(f"candidates [{a}, {b}] must split 1..{T} into nonempty segments")
     ks = np.arange(a, b + 1)
     left, right = ssr1[:, a - o1:b + 1 - o1], ssr2[:, T - b - o2:T + 1 - a - o2][:, ::-1]
     ssr = left + right

@@ -1,19 +1,20 @@
-"""Shared naive oracles and shared samples for the test suite.
+"""Shared naive oracles and shared library calls for the test suite.
 
-Every helper here recomputes its target quantity by the most direct route
+Every oracle here recomputes its target quantity by the most direct route
 available (explicit residual sums, plain-python recursions, exhaustive
 scans) so the library's recursive-residual passes and vectorized scans are
-checked against independent arithmetic.  Expensive samples that several
-modules read are drawn once per session by the fixtures at the end.
+checked against independent arithmetic.  A few helpers
+(``segment_split_ssr``, ``regime_path``, ``natural_tail_process``) instead
+make one library call that several tests share.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import pytest
 
-from bubbledate import asymptotics, bn_decompose, fit_segment, recovery_limit_draws
+from bubbledate import asymptotics, bn_decompose, fit_segment
+from bubbledate.dgp import _regime_recursion
 from bubbledate.rng import stream
 
 # mirror of the library's guards, applied to independently computed sums
@@ -176,6 +177,11 @@ def plain_recursion_path(config, errors):
     return y
 
 
+def regime_path(config, errors):
+    """The library's path [y_0, ..., y_T] of config on one error sequence: one cell and one row of the recursion."""
+    return _regime_recursion(config, np.array([[config.phi_a]]), np.array([[config.phi_b]]), errors[np.newaxis])[:, 0, 0]
+
+
 def growth_decay_tent(T, k_c, up, down, base=1.0):
     """Pure two-phase series: growth by ``up`` through k_c, then decay."""
     values = []
@@ -285,9 +291,3 @@ def naive_emergence_draws(tau_e, draws, disc, seed):
         return two_sided(t, (w_left / level - 0.5 * t)[::-1], w_right / level - 0.5 * t)
 
     return _naive_draws(one_draw, draws, seed)
-
-
-@pytest.fixture(scope="session")
-def default_recovery_sample():
-    """Recovery draws at c_b = 1 on the default grid: seed 0, 10,000 draws."""
-    return recovery_limit_draws(1.0, draws=10_000, seed=0)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import naive_split_ssr, natural_tail_process, segment_split_ssr
+from conftest import naive_split_ssr, natural_tail_process, regime_path, segment_split_ssr
 
 from bubbledate import (
     DgpConfig,
@@ -24,7 +24,6 @@ from bubbledate import (
     Series,
     Target,
     bn_decompose,
-    batch_paths,
     emergence_limit_draws,
     estimate_dates,
     preset,
@@ -117,7 +116,7 @@ def test_criterion_05_exact_recovery_on_noiseless_paths():
             except Exception:
                 continue  # resample fractions that collide on this T
             break
-        y = batch_paths(config, np.zeros((1, T)))[0]
+        y = regime_path(config, np.zeros(T))
         est = estimate_dates(Series(y[1:], y0=float(y[0])))
         got = (est.k_e_hat, est.k_c_hat, est.k_r_hat)
         assert got == config.break_indices, (config, got)

@@ -540,6 +540,25 @@ class TestLimitdistCommand:
         assert main(["limitdist", "recovery", "--cb", "1e-6", "--vmax", "5", "--draws", "2",
                      "--seed", "1", "--out", str(tmp_path / "x")]) == 0
 
+    def test_strong_mean_reversion_runs(self, tmp_path, capsys):
+        # cb * vmax overflows float64, but the natural window vmax / cb and the draws are finite
+        prefix = str(tmp_path / "x")
+        assert main(["limitdist", "recovery", "--cb", "1e308", "--draws", "20", "--seed", "0", "--out", prefix]) == 0
+        assert json.loads(capsys.readouterr().out)["draws"] == 20
+        draws = [float(row[1]) for row in list(csv.reader(open(prefix + "_draws.csv")))[1:]]
+        assert len(draws) == 20 and np.isfinite(draws).all()
+
+    def test_overflowing_std_prints_null(self, tmp_path, capsys):
+        # finite draws near 1e294 whose squares overflow: the summary stays strict JSON
+        assert main(["limitdist", "recovery", "--cb", "1e-300", "--vmax", "1e-5", "--step", "1e-7",
+                     "--draws", "3", "--seed", "0", "--out", str(tmp_path / "x")]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert summary["std"] is None and summary["mean"] > 1e293
+
     def test_degenerate_filter_exits_two(self, tmp_path, capsys):
         # a zero-sum filter has no long-run scale: invalid input, not a dating failure
         prefix = str(tmp_path / "zero")

@@ -1,13 +1,10 @@
 """Simulation: regime recursion and error processes."""
 from __future__ import annotations
 
-import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from conftest import plain_recursion_path
+from conftest import plain_recursion_path, regime_path
 
 from bubbledate import (
     ConfigError,
@@ -17,7 +14,6 @@ from bubbledate import (
     LinearProcessCoeffs,
     SingleShiftVolatility,
     VolatilityScaled,
-    batch_paths,
     generate_errors,
     simulate,
 )
@@ -29,7 +25,7 @@ class TestRegimeRecursion:
     def test_zero_noise_closed_form(self):
         # flat at 1, 20% growth, 20% decay, flat: every value has a closed form
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.2, phi_b=0.8, T=40, y0=1.0)
-        y = batch_paths(cfg, np.zeros((1, 40)))[0]
+        y = regime_path(cfg, np.zeros(40))
         assert cfg.break_indices == (16, 24, 28)
         for t in range(0, 17):
             assert y[t] == 1.0
@@ -58,7 +54,7 @@ class TestRegimeRecursion:
             except ConfigError:
                 continue  # fractions may collide on a small T
             errors = rng.normal(size=T)
-            got = batch_paths(cfg, errors[np.newaxis, :])[0]
+            got = regime_path(cfg, errors)
             want = plain_recursion_path(cfg, errors)
             assert got.tolist() == want
 
@@ -69,7 +65,7 @@ class TestRegimeRecursion:
             drift_pre=0.25, drift_post=0.125,
         )
         k_e, k_c, k_r = cfg.break_indices
-        y = batch_paths(cfg, np.zeros((1, 100)))[0]
+        y = regime_path(cfg, np.zeros(100))
         assert y[k_e] == 5.0 + 0.25 * k_e          # drift applies through k_e
         assert y[k_e + 1] == 1.1 * y[k_e]           # explosive from k_e + 1
         assert y[k_c + 1] == 0.9 * y[k_c]           # collapse from k_c + 1
@@ -77,16 +73,16 @@ class TestRegimeRecursion:
 
     def test_tau_r_one_decays_to_the_end(self):
         cfg = DgpConfig(0.4, 0.6, 1.0, phi_a=1.2, phi_b=0.8, T=40, y0=1.0)
-        y = batch_paths(cfg, np.zeros((1, 40)))[0]
+        y = regime_path(cfg, np.zeros(40))
         assert y[40] == pytest.approx(1.2 ** 8 * 0.8 ** 16, rel=1e-14)
 
     def test_batch_matches_single_paths_bitwise(self):
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=60, y0=0.0)
         errors = stream(55).normal(size=(5, 60))
-        batched = batch_paths(cfg, errors)
-        assert batched.shape == (5, 61) and batched.flags.c_contiguous
+        batched = _regime_recursion(cfg, np.array([[cfg.phi_a]]), np.array([[cfg.phi_b]]), errors)
+        assert batched.shape == (61, 1, 5)
         for r in range(5):
-            assert np.array_equal(batched[r], batch_paths(cfg, errors[r : r + 1])[0])
+            assert np.array_equal(batched[:, 0, r], regime_path(cfg, errors[r]))
 
     def test_stacked_recursion_matches_each_cell_bitwise(self):
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=90, y0=0.5,
@@ -98,20 +94,15 @@ class TestRegimeRecursion:
             errors = stream(77, rows).normal(size=(rows, 90))
             stacked = _regime_recursion(cfg, phi_a, phi_b, errors)
             assert stacked.shape == (91, len(pairs), rows)
-            for c, (a, b) in enumerate(pairs):
-                one = batch_paths(replace(cfg, phi_a=a, phi_b=b), errors)
-                assert np.array_equal(stacked[:, c, :].T, one)
-
-    def test_batch_rejects_wrong_length(self):
-        cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=60)
-        with pytest.raises(ConfigError):
-            batch_paths(cfg, np.zeros((2, 59)))
+            for c in range(len(pairs)):
+                one = _regime_recursion(cfg, phi_a[c : c + 1], phi_b[c : c + 1], errors)
+                assert np.array_equal(stacked[:, c, :], one[:, 0, :])
 
     def test_simulate_wraps_path_with_y0(self):
         cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=80, y0=3.0)
         spec = IidGaussian(1.0)
         s = simulate(cfg, spec, 123)
-        y = batch_paths(cfg, generate_errors(spec, 80, stream(123))[np.newaxis, :])[0]
+        y = regime_path(cfg, generate_errors(spec, 80, stream(123)))
         assert s.y0 == 3.0
         assert np.array_equal(s.values, y[1:])
 

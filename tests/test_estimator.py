@@ -235,13 +235,6 @@ class TestSplitScan:
         with pytest.raises(DegenerateSegmentError):
             estimate_dates(Series(np.zeros(40)))
 
-    def test_empty_range_raises(self):
-        s = Series(np.ones(10), y0=1.0)
-        with pytest.raises(EmptyRangeError):
-            window_scan(s, 1, s.T, 6, 5)
-        with pytest.raises(EmptyRangeError):
-            window_scan(s, 1, s.T, 2, 10)
-
     def test_matches_naive_scan_on_noisy_series(self):
         rng = stream(11)
         for y0 in (None, 0.3):

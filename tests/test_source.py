@@ -12,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bubbledate"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 BENCHMARK_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -53,7 +54,7 @@ def unbound_exports(tree: ast.Module) -> list:
     return [name for name in exported(tree) if name not in bound]
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in SOURCES + TESTS if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
@@ -90,7 +91,7 @@ PUBLIC_NAMES = [
     "DegenerateSegmentError", "DgpConfig", "Discretization", "EmptyRangeError", "ErrorSpec", "ExperimentConfig",
     "ExperimentResult", "HistogramResult", "IidGaussian", "LimitSample", "LinearProcess", "LinearProcessCoeffs",
     "ModelChoice", "SegmentFit", "Series", "SeriesValidationError", "SingleShiftVolatility", "Target",
-    "TileEstimates", "TrimmingPolicy", "UnavailableReason", "VolatilityScaled", "batch_paths", "bic_select",
+    "TileEstimates", "TrimmingPolicy", "UnavailableReason", "VolatilityScaled", "bic_select",
     "bn_decompose", "emergence_limit_draws", "estimate_dates", "estimate_tile", "fit_segment", "generate_errors",
     "preset", "recovery_limit_draws", "run_experiment", "simulate", "validate_series",
 ]
