@@ -201,6 +201,8 @@ def cmd_mc(args) -> int:
 def cmd_limitdist(args) -> int:
     correction = LinearProcessCoeffs((1.0,))
     if args.psi is not None:
+        if args.law == "emergence":
+            raise ConfigError(["--psi corrects the recovery law only; the emergence law takes no filter"])
         try:
             correction = LinearProcessCoeffs(tuple(float(x) for x in args.psi.split(",")))
         except ValueError:
@@ -213,9 +215,13 @@ def cmd_limitdist(args) -> int:
     values, scale = sample.values, (args.cb if args.law == "recovery" else 1.0)
     dataio.write_draws_csv(args.out + "_draws.csv", values)
     dataio.write_draw_histogram_csv(args.out + "_hist.csv", values)
-    with np.errstate(over="ignore", invalid="ignore"):  # sums over draws near the float64 limit overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # quantiles and the std can pass the float64 limit
         q = [_number(x) for x in np.quantile(values, [0.1, 0.25, 0.5, 0.75, 0.9])]
-        mean, std = values.mean(), values.std(ddof=1) if values.shape[0] > 1 else math.nan
+        # the draws scaled by 2^-e lie in [-1, 1] and keep every bit, so the largest squares neither overflow nor underflow
+        e = int(np.frexp(np.abs(values).max())[1])
+        scaled = np.ldexp(values, -e)
+        mean = np.ldexp(scaled.mean(), e)
+        std = np.ldexp(scaled.std(ddof=1), e) if values.shape[0] > 1 else math.nan
     summary = {
         "law": args.law,
         "draws": int(values.shape[0]),

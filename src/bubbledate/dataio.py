@@ -214,9 +214,8 @@ def write_series_csv(path: str, series: Series, metadata: Optional[dict] = None)
 
 # The JSON types that a field annotation, list or dict accepts; a boolean is not a number.
 _JSON_TYPES = {
-    float: ("a number", (int, float)), Optional[float]: ("a number or null", (int, float, type(None))),
-    int: ("an integer", (int,)), bool: ("a boolean", (bool,)), str: ("a string", (str,)),
-    list: ("an array", (list,)), dict: ("a JSON object", (dict,)),
+    float: ("a number", (int, float)), int: ("an integer", (int,)), bool: ("a boolean", (bool,)),
+    str: ("a string", (str,)), list: ("an array", (list,)), dict: ("a JSON object", (dict,)),
 }
 
 
@@ -308,7 +307,7 @@ def _write_kind(kinds: dict, obj) -> dict:
 
 
 def dgp_config_to_dict(config: DgpConfig) -> dict:
-    return {k: v for k, v in _to_dict(config).items() if v is not None}
+    return _to_dict(config)
 
 
 def dgp_config_from_dict(data: dict) -> DgpConfig:

@@ -47,11 +47,6 @@ class LinearProcess:
     """e_t = sum_j psi_j v_{t-j} with i.i.d. normal innovations v."""
 
     coeffs: LinearProcessCoeffs
-    innovation_sigma: float = 1.0
-
-    def __post_init__(self):
-        if not (self.innovation_sigma > 0.0 and math.isfinite(self.innovation_sigma)):
-            raise ConfigError([f"innovation_sigma must be positive and finite, got {self.innovation_sigma}"])
 
 
 ErrorSpec = Union[IidGaussian, VolatilityScaled, LinearProcess]
@@ -74,7 +69,7 @@ def generate_errors(spec: ErrorSpec, T: int, rng: np.random.Generator) -> np.nda
         t = np.arange(1, T + 1, dtype=np.float64)
         return spec.profile.omega(t / T) * z
     if isinstance(spec, LinearProcess):
-        v = spec.innovation_sigma * rng.standard_normal(spec.coeffs.order + T)
+        v = rng.standard_normal(spec.coeffs.order + T)
         return _filter_innovations(spec.coeffs.as_array(), v, T)
     raise ConfigError([f"unsupported error spec: {type(spec).__name__}"])
 
@@ -91,8 +86,7 @@ def _regime_recursion(config: DgpConfig, phi_a: np.ndarray, phi_b: np.ndarray, e
     """
     rows, T = errors.shape
     k_e, k_c, k_r = config.break_indices
-    d0 = config.drift_pre_value
-    d1 = config.drift_post_value
+    d0, d1 = config.drift_pre, config.drift_post
     e = np.ascontiguousarray(errors.T)
     y = np.empty((T + 1, phi_a.shape[0], rows), dtype=np.float64)
     y[0] = config.y0

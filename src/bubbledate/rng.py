@@ -8,6 +8,8 @@ bit for bit.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .types import ConfigError
@@ -17,10 +19,14 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the (seed, *key) stream.
 
     The same arguments always produce the same stream, and distinct keys
-    produce statistically independent streams.  A negative seed raises
-    ConfigError.
+    produce statistically independent streams.  A seed or key that is not
+    an integer (numpy integers are), and a negative seed, raise ConfigError.
     """
+    try:
+        seed, key = operator.index(seed), tuple(map(operator.index, key))
+    except TypeError:
+        raise ConfigError([f"seed and key must be integers, got {(seed, *key)}"]) from None
     if seed < 0:
         raise ConfigError([f"seed must be a non-negative integer, got {seed}"])
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.PCG64(ss))

@@ -186,12 +186,8 @@ class DgpConfig:
     * ``k_r < t <= T``:      y_t = drift_post + y_{t-1} + e_t
 
     with break dates ``k = floor(tau * T)``.  ``tau_r = 1`` is allowed and
-    leaves the fourth regime empty (a three-regime path).
-
-    Drifts are parametrized as ``c * T**(-eta)`` with ``c >= 0`` and
-    ``eta > 1/2``; ``drift_pre`` / ``drift_post`` override that
-    parametrization directly when set (useful to pin the same drift across
-    different sample sizes).
+    leaves the fourth regime empty (a three-regime path).  The drifts are
+    finite numbers, the same at every T.
     """
 
     tau_e: float
@@ -201,12 +197,8 @@ class DgpConfig:
     phi_b: float
     T: int
     y0: float = 0.0
-    c0: float = 0.0
-    eta0: float = 1.0
-    c1: float = 0.0
-    eta1: float = 1.0
-    drift_pre: Optional[float] = None
-    drift_post: Optional[float] = None
+    drift_pre: float = 0.0
+    drift_post: float = 0.0
 
     def __post_init__(self):
         problems = []
@@ -221,16 +213,9 @@ class DgpConfig:
             problems.append(f"phi_b must lie in (0, 1), got {self.phi_b}")
         if self.T < 2:
             problems.append(f"T must be at least 2, got {self.T}")
-        if self.c0 < 0.0 or self.c1 < 0.0:
-            problems.append(f"drift scales must be nonnegative, got c0={self.c0}, c1={self.c1}")
-        if self.eta0 <= 0.5 or self.eta1 <= 0.5:
-            problems.append(f"drift exponents must exceed 1/2, got eta0={self.eta0}, eta1={self.eta1}")
-        if not math.isfinite(self.y0):
-            problems.append("y0 must be finite")
-        for name in ("drift_pre", "drift_post"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                problems.append(f"{name} must be finite when set")
+        for name in ("y0", "drift_pre", "drift_post"):
+            if not math.isfinite(getattr(self, name)):
+                problems.append(f"{name} must be finite")
         if not problems:
             k_e, k_c, k_r = self.break_indices
             if not (1 <= k_e < k_c < k_r <= self.T):
@@ -246,18 +231,6 @@ class DgpConfig:
         """True break dates ``(k_e, k_c, k_r)`` implied by the fractions."""
         taus = (self.tau_e, self.tau_c, self.tau_r)
         return tuple(int(math.floor(tau * self.T + _GRID_EPS)) for tau in taus)
-
-    @property
-    def drift_pre_value(self) -> float:
-        if self.drift_pre is not None:
-            return self.drift_pre
-        return self.c0 * self.T ** (-self.eta0)
-
-    @property
-    def drift_post_value(self) -> float:
-        if self.drift_post is not None:
-            return self.drift_post
-        return self.c1 * self.T ** (-self.eta1)
 
 
 @dataclass(frozen=True)

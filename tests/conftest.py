@@ -160,8 +160,7 @@ def naive_backward_recursion(rho, d):
 def plain_recursion_path(config, errors):
     """Four-regime recursion in pure python; returns [y_0, ..., y_T]."""
     k_e, k_c, k_r = config.break_indices
-    d0 = config.drift_pre_value
-    d1 = config.drift_post_value
+    d0, d1 = config.drift_pre, config.drift_post
     y = [float(config.y0)]
     for t in range(1, config.T + 1):
         prev = y[-1]

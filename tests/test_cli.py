@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -548,16 +549,40 @@ class TestLimitdistCommand:
         draws = [float(row[1]) for row in list(csv.reader(open(prefix + "_draws.csv")))[1:]]
         assert len(draws) == 20 and np.isfinite(draws).all()
 
-    def test_overflowing_std_prints_null(self, tmp_path, capsys):
-        # finite draws near 1e294 whose squares overflow: the summary stays strict JSON
-        assert main(["limitdist", "recovery", "--cb", "1e-300", "--vmax", "1e-5", "--step", "1e-7",
-                     "--draws", "3", "--seed", "0", "--out", str(tmp_path / "x")]) == 0
-
+    @staticmethod
+    def strict_summary_and_draws(capsys, prefix):
         def reject(name):
             raise ValueError(f"{name} is not JSON")
 
         summary = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert summary["std"] is None and summary["mean"] > 1e293
+        return summary, [float(row[1]) for row in list(csv.reader(open(prefix + "_draws.csv")))[1:]]
+
+    def test_overflowing_squares_give_the_true_std(self, tmp_path, capsys):
+        # finite draws near 1e294 whose squares overflow: the summary is strict JSON with the true moments
+        prefix = str(tmp_path / "x")
+        assert main(["limitdist", "recovery", "--cb", "1e-300", "--vmax", "1e-5", "--step", "1e-7",
+                     "--draws", "3", "--seed", "0", "--out", prefix]) == 0
+        summary, draws = self.strict_summary_and_draws(capsys, prefix)
+        assert summary["std"] == pytest.approx(statistics.stdev(draws), rel=1e-14)
+        assert 6.6e294 < summary["std"] < 6.7e294 and summary["mean"] > 1e293
+
+    def test_underflowing_squares_give_the_true_std(self, tmp_path, capsys):
+        # 20 distinct draws near 1e-308 whose squares underflow to zero: the std is theirs, not 0
+        prefix = str(tmp_path / "x")
+        assert main(["limitdist", "recovery", "--cb", "1e308", "--draws", "20", "--seed", "0", "--out", prefix]) == 0
+        summary, draws = self.strict_summary_and_draws(capsys, prefix)
+        assert len(set(draws)) == 20
+        assert summary["std"] == pytest.approx(statistics.stdev(draws), rel=1e-14)
+        assert summary["mean"] == pytest.approx(statistics.fmean(draws), rel=1e-14)
+
+    def test_emergence_rejects_psi(self, tmp_path, capsys):
+        # the filter corrects only the recovery law; dropping it without a word would misreport the run
+        prefix = str(tmp_path / "eme")
+        assert main(["limitdist", "emergence", "--psi", "1,0.5", "--seed", "1", "--draws", "2",
+                     "--vmax", "5", "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --psi") and err.count("\n") == 1
+        assert not os.path.exists(prefix + "_draws.csv")
 
     def test_degenerate_filter_exits_two(self, tmp_path, capsys):
         # a zero-sum filter has no long-run scale: invalid input, not a dating failure
@@ -572,6 +597,21 @@ class TestLimitdistCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: filter coefficients sum to") and err.count("\n") == 1
         assert not os.path.exists(prefix + "_draws.csv")
+
+
+def test_deleted_config_keys_exit_two_and_name_the_key(tmp_path, capsys):
+    # drifts are numbers (no c * T**-eta form) and a linear process is its psi alone
+    for section, key in (("dgp", "c0"), ("dgp", "eta1"), ("errors", "innovation_sigma")):
+        for command, path in (("simulate", sim_config(tmp_path)), ("mc", TestMcCommand().experiment_config(tmp_path))):
+            data = json.loads(Path(path).read_text())
+            if section == "dgp":
+                data["dgp"][key] = 1.0
+            else:
+                data["errors"] = {"kind": "linear_process", "psi": [1.0, 0.5], key: 2.0}
+            Path(path).write_text(json.dumps(data))
+            assert main([command, "--config", path, "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"unknown key(s) '{key}'" in err, (command, key)
 
 
 def test_undecodable_inputs_exit_two(tmp_path, capsys):

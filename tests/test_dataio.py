@@ -232,10 +232,7 @@ def test_non_ascii_label_round_trips_under_an_ascii_locale(tmp_path):
 
 class TestConfigDicts:
     def test_dgp_round_trip(self):
-        cfg = DgpConfig(
-            0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=400, y0=2.0,
-            c0=1.5, eta0=0.8, c1=0.5, eta1=0.9,
-        )
+        cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=400, y0=2.0)
         assert dgp_config_from_dict(dgp_config_to_dict(cfg)) == cfg
         pinned = DgpConfig(
             0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=400,
@@ -253,7 +250,7 @@ class TestConfigDicts:
         specs = [
             IidGaussian(2.0),
             VolatilityScaled(SingleShiftVolatility(1.0, 3.0, 0.5)),
-            LinearProcess(LinearProcessCoeffs((1.0, 0.5, 0.25)), innovation_sigma=2.0),
+            LinearProcess(LinearProcessCoeffs((2.0, 1.0, 0.5))),
         ]
         for spec in specs:
             assert error_spec_from_dict(error_spec_to_dict(spec)) == spec
@@ -309,6 +306,32 @@ class TestConfigDicts:
         data = experiment_config_to_dict(cfg)
         assert data["schema_version"] == 1
         assert experiment_config_from_dict(data) == cfg
+
+    def test_config_section_keys_are_pinned(self):
+        # each section's JSON keys, as written and read: adding, renaming or deleting a setting edits this table
+        keys = {
+            "experiment": ["T_grid", "base_seed", "bic", "dgp", "errors", "name", "phi_a_grid", "phi_b_grid",
+                           "reps", "schema_version", "targets", "trimming"],
+            "dgp": ["T", "drift_post", "drift_pre", "phi_a", "phi_b", "tau_c", "tau_e", "tau_r", "y0"],
+            "iid_gaussian": ["kind", "sigma"],
+            "volatility_scaled": ["kind", "profile"],
+            "single_shift": ["kind", "sigma0", "sigma1", "tau_sigma"],
+            "linear_process": ["kind", "psi"],
+        }
+        cfg = ExperimentConfig(
+            dgp=DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=100),
+            errors=VolatilityScaled(SingleShiftVolatility(1.0, 3.0, 0.5)),
+            T_grid=(100,),
+            phi_a_grid=(1.05,),
+        )
+        data = experiment_config_to_dict(cfg)
+        assert experiment_config_from_dict(data) == cfg
+        written = {
+            "experiment": data, "dgp": data["dgp"], "volatility_scaled": data["errors"],
+            "single_shift": data["errors"]["profile"], "iid_gaussian": error_spec_to_dict(IidGaussian()),
+            "linear_process": error_spec_to_dict(LinearProcess(LinearProcessCoeffs((1.0, 0.5)))),
+        }
+        assert {name: sorted(section) for name, section in written.items()} == keys
 
     def test_schema_version_is_enforced(self):
         cfg = ExperimentConfig(

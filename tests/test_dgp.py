@@ -48,8 +48,8 @@ class TestRegimeRecursion:
                     phi_b=float(rng.uniform(0.7, 0.99)),
                     T=T,
                     y0=float(rng.normal()),
-                    c0=float(rng.uniform(0.0, 2.0)),
-                    c1=float(rng.uniform(0.0, 2.0)),
+                    drift_pre=float(rng.uniform(-0.1, 0.1)),
+                    drift_post=float(rng.uniform(-0.1, 0.1)),
                 )
             except ConfigError:
                 continue  # fractions may collide on a small T
@@ -140,9 +140,9 @@ class TestErrorSpecs:
         e = generate_errors(spec, 100_000, stream(8))
         assert e.var() == pytest.approx(1.25, rel=0.02)
 
-    def test_innovation_sigma_scales_filter_input(self):
-        coeffs = LinearProcessCoeffs((1.0, 0.5))
-        a = generate_errors(LinearProcess(coeffs, innovation_sigma=2.0), 50, stream(4))
-        b = generate_errors(LinearProcess(coeffs, innovation_sigma=1.0), 50, stream(4))
-        assert np.allclose(a, 2.0 * b, rtol=1e-15)
+    def test_scaled_psi_scales_the_errors(self):
+        # a process with scaled innovations is the process with psi scaled
+        a = generate_errors(LinearProcess(LinearProcessCoeffs((2.0, 1.0))), 50, stream(4))
+        b = generate_errors(LinearProcess(LinearProcessCoeffs((1.0, 0.5))), 50, stream(4))
+        assert np.array_equal(a, 2.0 * b)
 

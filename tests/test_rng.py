@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bubbledate import ConfigError
+from bubbledate import ConfigError, DgpConfig, IidGaussian, simulate
 from bubbledate.rng import stream
 
 
@@ -42,3 +42,17 @@ def test_negative_seed_rejected():
         stream(-1)
     with pytest.raises(ConfigError, match="non-negative"):
         stream(-3, 0, 0)
+
+
+def test_non_integer_seed_or_key_rejected():
+    # truncating 3.9 to 3 would hand seed 3's stream to a request that never asked for it
+    for args in ((1.5,), (1, 0.5), (3, 0, 2.0), ("1",), (None,)):
+        with pytest.raises(ConfigError, match="integers"):
+            stream(*args)
+    with pytest.raises(ConfigError, match="integers"):
+        simulate(DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=100), IidGaussian(), 3.9)
+
+
+def test_numpy_integers_are_seeds_and_keys():
+    want = stream(7, 3, 0).standard_normal(8)
+    assert np.array_equal(stream(np.int64(7), np.uint32(3), np.int8(0)).standard_normal(8), want)

@@ -110,25 +110,22 @@ class TestDgpConfig:
         with pytest.raises(ConfigError):
             DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=1.01, T=400)
 
-    def test_rejects_small_drift_exponent(self):
-        with pytest.raises(ConfigError):
-            DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=400, eta0=0.5)
-
     def test_rejects_coinciding_break_indices(self):
         # fractions are ordered but land on the same date at this T
         with pytest.raises(ConfigError):
             DgpConfig(0.40, 0.41, 0.7, phi_a=1.05, phi_b=0.96, T=40)
 
     def test_drift_accessors(self):
-        cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=800, c0=2.0, eta0=1.0)
-        assert cfg.drift_pre_value == 2.0 / 800
-        assert cfg.drift_post_value == 0.0
-        pinned = DgpConfig(
-            0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=800,
-            c0=2.0, drift_pre=1.0 / 800, drift_post=1.0 / 800,
-        )
-        assert pinned.drift_pre_value == 1.0 / 800
-        assert pinned.drift_post_value == 1.0 / 800
+        # the drifts are plain finite numbers, 0 by default and the same at every T
+        cfg = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=800)
+        assert (cfg.drift_pre, cfg.drift_post) == (0.0, 0.0)
+        for T in (400, 800, 3200):
+            pinned = DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=T, drift_pre=1.0 / 800, drift_post=-0.5)
+            assert (pinned.drift_pre, pinned.drift_post) == (1.0 / 800, -0.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("y0", "drift_pre", "drift_post"):
+                with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                    DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=800, **{name: bad})
 
     def test_validation_matches_independent_predicate(self):
         # the constructor must reject exactly the tuples this plain
