@@ -17,7 +17,6 @@ from .asymptotics import (
 from .dgp import (
     ErrorSpec,
     IidGaussian,
-    LinearProcess,
     VolatilityScaled,
     generate_errors,
     simulate,
@@ -49,7 +48,7 @@ from .types import (
     BubbleDateError,
     ConfigError,
     DgpConfig,
-    LinearProcessCoeffs,
+    LinearProcess,
     Series,
     SeriesValidationError,
     SingleShiftVolatility,

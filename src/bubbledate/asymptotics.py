@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .rng import stream
-from .types import ConfigError, LinearProcessCoeffs
+from .types import ConfigError, LinearProcess
 
 __all__ = [
     "Discretization",
@@ -109,9 +109,9 @@ class BnDecomposition:
     psi_sq_sum: float
 
 
-def bn_decompose(coeffs: LinearProcessCoeffs) -> BnDecomposition:
-    """Long-run decomposition of a finite filter; ConfigError where float64 cannot hold a sum it needs."""
-    psi = coeffs.as_array()
+def bn_decompose(process: LinearProcess) -> BnDecomposition:
+    """Long-run decomposition of a process's finite filter; ConfigError where float64 cannot hold a sum it needs."""
+    psi = np.asarray(process.psi)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is a ConfigError, not a warning
         psi_sum = float(psi.sum())
         try:
@@ -288,7 +288,7 @@ def recovery_limit_draws(
     draws: int = 10_000,
     disc: Discretization = Discretization(),
     seed: int = 0,
-    correction: LinearProcessCoeffs = LinearProcessCoeffs((1.0,)),
+    correction: LinearProcess = LinearProcess((1.0,)),
 ) -> LimitSample:
     """Batch of independent recovery-limit draws: the c_b = 1 draws on ``disc`` divided by c_b.
 

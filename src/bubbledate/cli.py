@@ -34,7 +34,7 @@ from .montecarlo import PRESET_NAMES, preset, run_experiment
 from .types import (
     BubbleDateError,
     ConfigError,
-    LinearProcessCoeffs,
+    LinearProcess,
     SeriesValidationError,
     TrimmingPolicy,
 )
@@ -80,11 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lim = sub.add_parser("limitdist", help="sample a break-date limit distribution")
     p_lim.add_argument("law", choices=["recovery", "emergence"])
-    p_lim.add_argument("--cb", type=float, default=1.0, help="collapse intensity c_b (recovery law)")
-    p_lim.add_argument("--tau-e", type=float, default=0.4, help="emergence fraction (emergence law)")
+    # each option sets one law; cmd_limitdist rejects the other law's, so they default to None (not given)
+    p_lim.add_argument("--cb", type=float, default=None, help="collapse intensity c_b (recovery law, default 1.0)")
+    p_lim.add_argument("--tau-e", type=float, default=None, help="emergence fraction (emergence law, default 0.4)")
     p_lim.add_argument(
         "--psi", default=None,
-        help="comma-separated filter coefficients enabling the serial-correlation penalty correction",
+        help="comma-separated filter coefficients enabling the serial-correlation penalty correction (recovery law)",
     )
     p_lim.add_argument("--draws", type=int, default=10_000)
     p_lim.add_argument("--seed", type=int, required=True)
@@ -199,20 +200,24 @@ def cmd_mc(args) -> int:
 
 
 def cmd_limitdist(args) -> int:
-    correction = LinearProcessCoeffs((1.0,))
+    for flag, value, law in (("--cb", args.cb, "recovery"), ("--psi", args.psi, "recovery"),
+                             ("--tau-e", args.tau_e, "emergence")):
+        if value is not None and law != args.law:
+            raise ConfigError([f"{flag} sets the {law} law only, not the {args.law} law"])
+    c_b = 1.0 if args.cb is None else args.cb
+    tau_e = 0.4 if args.tau_e is None else args.tau_e
+    correction = LinearProcess((1.0,))
     if args.psi is not None:
-        if args.law == "emergence":
-            raise ConfigError(["--psi corrects the recovery law only; the emergence law takes no filter"])
         try:
-            correction = LinearProcessCoeffs(tuple(float(x) for x in args.psi.split(",")))
+            correction = LinearProcess(tuple(float(x) for x in args.psi.split(",")))
         except ValueError:
             raise ConfigError([f"cannot parse --psi {args.psi!r} as comma-separated numbers"]) from None
     disc = Discretization(step=args.step, v_max=args.vmax)
     if args.law == "recovery":
-        sample = recovery_limit_draws(args.cb, draws=args.draws, disc=disc, seed=args.seed, correction=correction)
+        sample = recovery_limit_draws(c_b, draws=args.draws, disc=disc, seed=args.seed, correction=correction)
     else:
-        sample = emergence_limit_draws(args.tau_e, draws=args.draws, disc=disc, seed=args.seed)
-    values, scale = sample.values, (args.cb if args.law == "recovery" else 1.0)
+        sample = emergence_limit_draws(tau_e, draws=args.draws, disc=disc, seed=args.seed)
+    values, scale = sample.values, (c_b if args.law == "recovery" else 1.0)
     dataio.write_draws_csv(args.out + "_draws.csv", values)
     dataio.write_draw_histogram_csv(args.out + "_hist.csv", values)
     with np.errstate(over="ignore", invalid="ignore"):  # quantiles and the std can pass the float64 limit
@@ -233,11 +238,11 @@ def cmd_limitdist(args) -> int:
         "window_edge_share": float(np.mean(np.abs(values) * scale >= 0.9 * disc.v_max)),
     }
     if args.law == "recovery":
-        summary["c_b"] = args.cb
+        summary["c_b"] = c_b
         if args.psi is not None:
             summary["psi_check"] = bn_decompose(correction).psi_check
     else:
-        summary["tau_e"] = args.tau_e
+        summary["tau_e"] = tau_e
     dataio.write_json(summary)
     return EXIT_OK
 

@@ -28,14 +28,14 @@ from typing import Optional, Union, get_type_hints
 
 import numpy as np
 
-from .dgp import ErrorSpec, IidGaussian, LinearProcess, VolatilityScaled
+from .dgp import ErrorSpec, IidGaussian, VolatilityScaled
 from .estimator import ModelChoice
 from .montecarlo import ExperimentConfig, HistogramResult, Target
 from .types import (
     BubbleDateError,
     ConfigError,
     DgpConfig,
-    LinearProcessCoeffs,
+    LinearProcess,
     Series,
     SingleShiftVolatility,
     TrimmingPolicy,
@@ -244,14 +244,11 @@ _ERROR_KINDS = {"iid_gaussian": IidGaussian, "volatility_scaled": VolatilityScal
                 "linear_process": LinearProcess}
 _PROFILE_KINDS = {"single_shift": SingleShiftVolatility}
 
-# Fields whose JSON key is not the field name.
-_JSON_KEY = {"coeffs": "psi"}
-
 # Fields whose JSON form is not a scalar: (reader(value, where), writer(value)).
 _CODECS = {
     "profile": (lambda v, where: _read_kind(_PROFILE_KINDS, v, "volatility profile"),
                 lambda p: _write_kind(_PROFILE_KINDS, p)),
-    "coeffs": (lambda v, where: LinearProcessCoeffs(_array(float)(v, where)), lambda c: list(c.psi)),
+    "psi": (_array(float), list),
     "T_grid": (_array(int), list),
     "phi_a_grid": (_array(float), list),
     "phi_b_grid": (_array(float), list),
@@ -263,30 +260,28 @@ _CODECS = {
 def _build(cls, data, what: str):
     """Build the dataclass cls from the JSON object data, raising ConfigError on any fault.
 
-    Keys are cls's field names (renamed by _JSON_KEY), defaults the fields'
-    own.  A field in _CODECS is read by its codec, any other must have the
-    JSON type of its annotation.
+    Keys are cls's field names, defaults the fields' own.  A field in _CODECS
+    is read by its codec, any other must have the JSON type of its annotation.
     """
-    keys = {_JSON_KEY.get(f.name, f.name): f for f in fields(cls)}
-    _reject_unknown_keys(_checked(data, dict, what), keys, what)
-    missing = [k for k, f in keys.items() if k not in data and f.default is MISSING]
+    known = {f.name: f for f in fields(cls)}
+    _reject_unknown_keys(_checked(data, dict, what), known, what)
+    missing = [k for k, f in known.items() if k not in data and f.default is MISSING]
     if missing:
         raise ConfigError([f"{what}: missing key(s) {', '.join(map(repr, missing))}"])
     hints = get_type_hints(cls)
     try:
         return cls(**{
-            f.name: _CODECS[f.name][0](data[k], f"{what}: {k}") if f.name in _CODECS
-            else _checked(data[k], hints[f.name], f"{what}: {k}")
-            for k, f in keys.items() if k in data
+            k: _CODECS[k][0](data[k], f"{what}: {k}") if k in _CODECS else _checked(data[k], hints[k], f"{what}: {k}")
+            for k in known if k in data
         })
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"{what}: {exc}"]) from None
 
 
 def _to_dict(obj) -> dict:
-    """The JSON object of a dataclass, each field in its JSON form under its JSON key."""
+    """The JSON object of a dataclass, each field in its JSON form under its name."""
     return {
-        _JSON_KEY.get(f.name, f.name): _CODECS[f.name][1](v) if f.name in _CODECS else v
+        f.name: _CODECS[f.name][1](v) if f.name in _CODECS else v
         for f in fields(obj) for v in [getattr(obj, f.name)]
     }
 

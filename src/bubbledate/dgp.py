@@ -8,12 +8,11 @@ from typing import Union
 import numpy as np
 
 from .rng import stream
-from .types import ConfigError, DgpConfig, LinearProcessCoeffs, Series, SingleShiftVolatility
+from .types import ConfigError, DgpConfig, LinearProcess, Series, SingleShiftVolatility, _require_numbers
 
 __all__ = [
     "IidGaussian",
     "VolatilityScaled",
-    "LinearProcess",
     "ErrorSpec",
     "generate_errors",
     "simulate",
@@ -27,6 +26,7 @@ class IidGaussian:
     sigma: float = 1.0
 
     def __post_init__(self):
+        _require_numbers(vars(self))
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ConfigError([f"sigma must be positive and finite, got {self.sigma}"])
 
@@ -42,17 +42,10 @@ class VolatilityScaled:
             raise ConfigError([f"unsupported volatility profile: {type(self.profile).__name__}"])
 
 
-@dataclass(frozen=True)
-class LinearProcess:
-    """e_t = sum_j psi_j v_{t-j} with i.i.d. normal innovations v."""
-
-    coeffs: LinearProcessCoeffs
-
-
 ErrorSpec = Union[IidGaussian, VolatilityScaled, LinearProcess]
 
 
-def _filter_innovations(psi: np.ndarray, v: np.ndarray, T: int) -> np.ndarray:
+def _filter_innovations(psi: tuple, v: np.ndarray, T: int) -> np.ndarray:
     # v holds v_{1-L} .. v_T for psi_0..psi_L, e_1 reading back to v_{1-L};
     # "valid" output t - 1 is sum_j psi_j v_{t-j}.
     return np.convolve(v, psi, mode="valid")[:T]
@@ -69,8 +62,8 @@ def generate_errors(spec: ErrorSpec, T: int, rng: np.random.Generator) -> np.nda
         t = np.arange(1, T + 1, dtype=np.float64)
         return spec.profile.omega(t / T) * z
     if isinstance(spec, LinearProcess):
-        v = rng.standard_normal(spec.coeffs.order + T)
-        return _filter_innovations(spec.coeffs.as_array(), v, T)
+        v = rng.standard_normal(len(spec.psi) - 1 + T)
+        return _filter_innovations(spec.psi, v, T)
     raise ConfigError([f"unsupported error spec: {type(spec).__name__}"])
 
 

@@ -9,6 +9,7 @@ three regime boundaries are the emergence, collapse and recovery dates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -27,7 +28,7 @@ __all__ = [
     "validate_series",
     "DgpConfig",
     "SingleShiftVolatility",
-    "LinearProcessCoeffs",
+    "LinearProcess",
     "TrimmingPolicy",
     "UnavailableReason",
     "BreakEstimates",
@@ -103,6 +104,14 @@ def _float_values(values) -> np.ndarray:
         return array.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise SeriesValidationError([f"values must be real numbers: {exc}"]) from None
+
+
+def _require_numbers(values: dict, integers: tuple = ()) -> None:
+    """Raise one ConfigError naming each value that is not a real number, or if named in integers, not an integer; bools are neither."""
+    problems = [f"{k} must be {'an integer' if k in integers else 'a real number'}, got {v!r}" for k, v in values.items()
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Integral if k in integers else numbers.Real)]
+    if problems:
+        raise ConfigError(problems)
 
 
 @dataclass(frozen=True)
@@ -201,6 +210,7 @@ class DgpConfig:
     drift_post: float = 0.0
 
     def __post_init__(self):
+        _require_numbers(vars(self), integers=("T",))
         problems = []
         if not (0.0 < self.tau_e < self.tau_c < self.tau_r <= 1.0):
             problems.append(
@@ -242,6 +252,7 @@ class SingleShiftVolatility:
     tau_sigma: float = 0.5
 
     def __post_init__(self):
+        _require_numbers(vars(self))
         problems = []
         if not (self.sigma0 > 0.0 and math.isfinite(self.sigma0)):
             problems.append(f"sigma0 must be positive and finite, got {self.sigma0}")
@@ -258,25 +269,20 @@ class SingleShiftVolatility:
 
 
 @dataclass(frozen=True)
-class LinearProcessCoeffs:
-    """Finite moving-average filter psi_0 .. psi_L applied to innovations."""
+class LinearProcess:
+    """e_t = sum_j psi_j v_{t-j}, i.i.d. normal v: simulated errors, and the serial correlation the recovery law corrects."""
 
     psi: tuple
 
     def __post_init__(self):
-        psi = tuple(float(p) for p in np.atleast_1d(np.asarray(self.psi, dtype=np.float64)))
+        psi = np.atleast_1d(np.asarray(self.psi, dtype=object))
         if len(psi) == 0:
             raise ConfigError(["psi must contain at least one coefficient"])
+        _require_numbers({f"psi[{j}]": p for j, p in enumerate(psi)})
+        psi = tuple(float(p) for p in psi)
         if not all(math.isfinite(p) for p in psi):
             raise ConfigError(["psi coefficients must be finite"])
         object.__setattr__(self, "psi", psi)
-
-    @property
-    def order(self) -> int:
-        return len(self.psi) - 1
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.psi, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -286,6 +292,7 @@ class TrimmingPolicy:
     rho: float = 0.05
 
     def __post_init__(self):
+        _require_numbers(vars(self))
         if not (0.0 < self.rho <= 0.25):
             raise ConfigError([f"trimming fraction must lie in (0, 0.25], got {self.rho}"])
 

@@ -19,7 +19,7 @@ from bubbledate import (
     Discretization,
     ExperimentConfig,
     IidGaussian,
-    LinearProcessCoeffs,
+    LinearProcess,
     ModelChoice,
     Series,
     Target,
@@ -148,7 +148,7 @@ def test_criterion_07_white_noise_correction_is_neutral():
     default = recovery_limit_draws(1.0, draws=300, disc=disc, seed=4)
     # white noise at any scale sigma leaves both penalties at one: the default draws, bit for bit
     for sigma in (0.3, 2.0, 7.5):
-        white = LinearProcessCoeffs((sigma,))
+        white = LinearProcess((sigma,))
         bn = bn_decompose(white)
         assert bn.psi_check == 0.0
         assert bn.psi_sq_sum / bn.psi_sum**2 == 1.0
@@ -158,7 +158,7 @@ def test_criterion_07_white_noise_correction_is_neutral():
     # psi = (1, eps) moves the penalties by O(eps), so its draws approach the default ones as eps falls
     shares = []
     for eps in (1e-1, 1e-2, 1e-4):
-        near = recovery_limit_draws(1.0, draws=300, disc=disc, seed=4, correction=LinearProcessCoeffs((1.0, eps)))
+        near = recovery_limit_draws(1.0, draws=300, disc=disc, seed=4, correction=LinearProcess((1.0, eps)))
         shares.append(float(np.mean(near.values == default.values)))
     print(f"criterion 7: white noise neutral at 3 scales; shares equal to the default at eps 1e-1, 1e-2, 1e-4: {shares}")
     assert shares[0] < shares[1] < shares[2] == 1.0

@@ -18,7 +18,7 @@ from conftest import (
 from bubbledate import (
     ConfigError,
     Discretization,
-    LinearProcessCoeffs,
+    LinearProcess,
     bn_decompose,
     emergence_limit_draws,
     recovery_limit_draws,
@@ -80,7 +80,7 @@ GOLDEN_DRAWS = [
         id="recovery",
     ),
     pytest.param(
-        lambda: recovery_limit_draws(1.0, draws=200, seed=0, correction=LinearProcessCoeffs((1.0, 0.5))),
+        lambda: recovery_limit_draws(1.0, draws=200, seed=0, correction=LinearProcess((1.0, 0.5))),
         "1fe21b2c337c4aad2f4e560579bc88e78d6b1f717c4320dd817d0d421e814ad9",
         id="recovery-corrected",
     ),
@@ -112,7 +112,7 @@ def test_golden_draws(make, digest):
     assert hashlib.sha256(sample.values.tobytes()).hexdigest() == digest
 
 
-PSI = LinearProcessCoeffs((1.0, 0.5))
+PSI = LinearProcess((1.0, 0.5))
 ORACLE_CASES = [
     pytest.param("recovery", dict(c_b=1.0, disc=Discretization(), seed=41), id="recovery"),
     pytest.param("recovery", dict(c_b=1.0, disc=Discretization(), seed=42, correction=PSI), id="recovery-corrected"),
@@ -214,14 +214,14 @@ class TestDiscretization:
 
 class TestBnDecompose:
     def test_white_noise(self):
-        bn = bn_decompose(LinearProcessCoeffs((1.0,)))
+        bn = bn_decompose(LinearProcess((1.0,)))
         assert bn.psi_sum == 1.0
         assert bn.psi_tilde.tolist() == [0.0]
         assert bn.psi_check == 0.0
         assert bn.psi_sq_sum == 1.0
 
     def test_first_order_hand_value(self):
-        bn = bn_decompose(LinearProcessCoeffs((1.0, 0.5)))
+        bn = bn_decompose(LinearProcess((1.0, 0.5)))
         assert bn.psi_sum == 1.5
         assert bn.psi_tilde.tolist() == [0.5, 0.0]
         assert bn.psi_check == pytest.approx(8.0 / 9.0, rel=1e-14)
@@ -229,7 +229,7 @@ class TestBnDecompose:
 
     def test_geometric_closed_form(self):
         rho = 0.5
-        coeffs = LinearProcessCoeffs(tuple(rho**j for j in range(51)))
+        coeffs = LinearProcess(tuple(rho**j for j in range(51)))
         bn = bn_decompose(coeffs)
         assert bn.psi_sum == pytest.approx(2.0, rel=1e-12)
         for ell in range(20):
@@ -250,7 +250,7 @@ class TestBnDecompose:
             psi = rng.normal(size=length)
             if abs(psi.sum()) < 1e-3:
                 psi[0] += 1.0
-            bn = bn_decompose(LinearProcessCoeffs(tuple(psi)))
+            bn = bn_decompose(LinearProcess(tuple(psi)))
             assert bn.psi_tilde[-1] == 0.0
             assert abs((bn.psi_sum - bn.psi_tilde[0]) - psi[0]) <= 1e-12
             for j in range(1, length):
@@ -258,7 +258,7 @@ class TestBnDecompose:
 
     def test_zero_sum_rejected(self):
         with pytest.raises(ConfigError, match="sum to zero"):
-            bn_decompose(LinearProcessCoeffs((1.0, -1.0)))
+            bn_decompose(LinearProcess((1.0, -1.0)))
 
     @pytest.mark.parametrize("psi", [
         (1e200, 1e200),  # the square of the sum overflows
@@ -271,7 +271,7 @@ class TestBnDecompose:
     def test_extreme_filters_rejected(self, psi):
         # a ConfigError, not a numpy warning, a float exception or a NaN
         with pytest.raises(ConfigError, match="filter coefficients"):
-            bn_decompose(LinearProcessCoeffs(psi))
+            bn_decompose(LinearProcess(psi))
 
 
 @pytest.mark.parametrize("rho", [0.0, math.exp(-1e-8), math.exp(-0.01), math.exp(-1.0)])
@@ -370,11 +370,11 @@ class TestRecoveryLaw:
     def test_serial_correlation_changes_the_law(self):
         plain = recovery_limit_draws(1.0, draws=300, seed=4)
         corrected = recovery_limit_draws(
-            1.0, draws=300, seed=4, correction=LinearProcessCoeffs((1.0, 0.5))
+            1.0, draws=300, seed=4, correction=LinearProcess((1.0, 0.5))
         )
         assert not np.array_equal(plain.values, corrected.values)
         again = recovery_limit_draws(
-            1.0, draws=300, seed=4, correction=LinearProcessCoeffs((1.0, 0.5))
+            1.0, draws=300, seed=4, correction=LinearProcess((1.0, 0.5))
         )
         assert np.array_equal(corrected.values, again.values)
 
@@ -404,7 +404,7 @@ class TestRecoveryLaw:
     @pytest.mark.parametrize("c_b", [0.2, 3.0])
     @pytest.mark.parametrize("psi", [None, (1.0, 0.5)])
     def test_draws_are_the_standard_law_scaled(self, c_b, psi):
-        correction = LinearProcessCoeffs(psi or (1.0,))
+        correction = LinearProcess(psi or (1.0,))
         scaled = recovery_limit_draws(c_b, draws=30, seed=6, correction=correction)
         standard = recovery_limit_draws(1.0, draws=30, seed=6, correction=correction)
         assert np.array_equal(scaled.values, standard.values / c_b)
@@ -433,7 +433,7 @@ class TestRecoveryLaw:
     def test_zero_sum_correction_rejected(self):
         with pytest.raises(ConfigError, match="sum to zero"):
             recovery_limit_draws(
-                1.0, draws=2, correction=LinearProcessCoeffs((1.0, -1.0))
+                1.0, draws=2, correction=LinearProcess((1.0, -1.0))
             )
 
 

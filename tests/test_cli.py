@@ -584,6 +584,20 @@ class TestLimitdistCommand:
         assert err.startswith("error: --psi") and err.count("\n") == 1
         assert not os.path.exists(prefix + "_draws.csv")
 
+    @pytest.mark.parametrize("law, flag", [("emergence", "--cb"), ("recovery", "--tau-e")])
+    def test_law_rejects_the_other_laws_option(self, law, flag, tmp_path, capsys):
+        # --cb sets only the recovery law and --tau-e only the emergence law; the other law would run without it
+        prefix = str(tmp_path / law)
+        base = ["limitdist", law, "--seed", "1", "--draws", "2", "--vmax", "5", "--out", prefix]
+        assert main([*base, flag, "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+        assert not os.path.exists(prefix + "_draws.csv")
+        # left out, the law's own option takes its default, which the summary reports
+        assert main(base) == 0
+        key, default = ("tau_e", 0.4) if law == "emergence" else ("c_b", 1.0)
+        assert json.loads(capsys.readouterr().out)[key] == default
+
     def test_degenerate_filter_exits_two(self, tmp_path, capsys):
         # a zero-sum filter has no long-run scale: invalid input, not a dating failure
         prefix = str(tmp_path / "zero")

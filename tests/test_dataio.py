@@ -19,7 +19,6 @@ from bubbledate import (
     ExperimentConfig,
     IidGaussian,
     LinearProcess,
-    LinearProcessCoeffs,
     Series,
     SeriesValidationError,
     SingleShiftVolatility,
@@ -45,6 +44,7 @@ from bubbledate.dataio import (
     write_draw_histogram_csv,
     write_draws_csv,
     write_histogram_csv,
+    write_json,
     write_series_csv,
     write_summary_csv,
 )
@@ -250,10 +250,18 @@ class TestConfigDicts:
         specs = [
             IidGaussian(2.0),
             VolatilityScaled(SingleShiftVolatility(1.0, 3.0, 0.5)),
-            LinearProcess(LinearProcessCoeffs((2.0, 1.0, 0.5))),
+            LinearProcess((2.0, 1.0, 0.5)),
         ]
         for spec in specs:
             assert error_spec_from_dict(error_spec_to_dict(spec)) == spec
+
+    def test_linear_process_json_is_pinned(self, tmp_path):
+        # psi is the filter's own field, so it is written under its own name, in the bytes schema version 1 has always had
+        path = tmp_path / "errors.json"
+        write_json(error_spec_to_dict(LinearProcess((1.0, 0.5))), str(path))
+        assert path.read_bytes() == b'{\n  "kind": "linear_process",\n  "psi": [\n    1.0,\n    0.5\n  ]\n}\n'
+        with pytest.raises(ConfigError, match="psi must be an array, got 1.5"):
+            error_spec_from_dict({"kind": "linear_process", "psi": 1.5})
 
     def test_error_spec_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -329,7 +337,7 @@ class TestConfigDicts:
         written = {
             "experiment": data, "dgp": data["dgp"], "volatility_scaled": data["errors"],
             "single_shift": data["errors"]["profile"], "iid_gaussian": error_spec_to_dict(IidGaussian()),
-            "linear_process": error_spec_to_dict(LinearProcess(LinearProcessCoeffs((1.0, 0.5)))),
+            "linear_process": error_spec_to_dict(LinearProcess((1.0, 0.5))),
         }
         assert {name: sorted(section) for name, section in written.items()} == keys
 

@@ -11,7 +11,6 @@ from bubbledate import (
     DgpConfig,
     IidGaussian,
     LinearProcess,
-    LinearProcessCoeffs,
     SingleShiftVolatility,
     VolatilityScaled,
     generate_errors,
@@ -119,6 +118,12 @@ class TestErrorSpecs:
         e = generate_errors(IidGaussian(2.5), 50, stream(2))
         assert np.array_equal(e, 2.5 * z)
 
+    def test_iid_gaussian_rejects_values_that_are_not_real_numbers(self):
+        for sigma in (None, "1", True):
+            with pytest.raises(ConfigError, match="sigma must be a real number"):
+                IidGaussian(sigma)
+        assert IidGaussian(np.float64(2.0)).sigma == 2.0
+
     def test_volatility_shift_variance_ratio(self):
         prof = SingleShiftVolatility(sigma0=1.0, sigma1=3.0, tau_sigma=0.5)
         e = generate_errors(VolatilityScaled(prof), 800, stream(17))
@@ -126,7 +131,7 @@ class TestErrorSpecs:
         assert ratio == pytest.approx(9.0, rel=0.20)
 
     def test_linear_process_identity_filter(self):
-        spec = LinearProcess(LinearProcessCoeffs((1.0,)))
+        spec = LinearProcess((1.0,))
         e = generate_errors(spec, 100, stream(3))
         assert np.array_equal(e, stream(3).standard_normal(100))
 
@@ -136,13 +141,13 @@ class TestErrorSpecs:
         assert np.allclose(out, 1.5, rtol=0, atol=0)
 
     def test_linear_process_variance(self):
-        spec = LinearProcess(LinearProcessCoeffs((1.0, 0.5)))
+        spec = LinearProcess((1.0, 0.5))
         e = generate_errors(spec, 100_000, stream(8))
         assert e.var() == pytest.approx(1.25, rel=0.02)
 
     def test_scaled_psi_scales_the_errors(self):
         # a process with scaled innovations is the process with psi scaled
-        a = generate_errors(LinearProcess(LinearProcessCoeffs((2.0, 1.0))), 50, stream(4))
-        b = generate_errors(LinearProcess(LinearProcessCoeffs((1.0, 0.5))), 50, stream(4))
+        a = generate_errors(LinearProcess((2.0, 1.0)), 50, stream(4))
+        b = generate_errors(LinearProcess((1.0, 0.5)), 50, stream(4))
         assert np.array_equal(a, 2.0 * b)
 

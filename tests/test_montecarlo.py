@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -19,13 +20,16 @@ from bubbledate import (
     DgpConfig,
     ExperimentConfig,
     IidGaussian,
+    LinearProcess,
     Target,
     TrimmingPolicy,
     VolatilityScaled,
+    generate_errors,
     preset,
     run_experiment,
 )
 from bubbledate.montecarlo import PRESET_NAMES, _BASE_DGP
+from bubbledate.rng import stream
 
 
 def small_config(**overrides):
@@ -72,6 +76,13 @@ class TestExperimentConfig:
             small_config(targets=(Target.COLLAPSE, Target.COLLAPSE))
         with pytest.raises(ConfigError):
             small_config(targets=(), bic=False)
+
+    def test_linear_process_config_survives_pickling(self):
+        # the pool hands each worker its config pickled: the copy must draw the same errors
+        cfg = small_config(errors=LinearProcess((1.0, 0.5)))
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and copy.errors.psi == (1.0, 0.5)
+        assert (generate_errors(copy.errors, 50, stream(3)) == generate_errors(cfg.errors, 50, stream(3))).all()
 
     def test_cells_are_checked_at_construction(self):
         # a bad cell raises when the config is built, not when it runs: with

@@ -89,8 +89,8 @@ def test_unbound_export_check_flags_stale_names():
 PUBLIC_NAMES = [
     "BicReport", "BicTally", "BnDecomposition", "BreakEstimates", "BubbleDateError", "CellKey", "ConfigError",
     "DegenerateSegmentError", "DgpConfig", "Discretization", "EmptyRangeError", "ErrorSpec", "ExperimentConfig",
-    "ExperimentResult", "HistogramResult", "IidGaussian", "LimitSample", "LinearProcess", "LinearProcessCoeffs",
-    "ModelChoice", "SegmentFit", "Series", "SeriesValidationError", "SingleShiftVolatility", "Target",
+    "ExperimentResult", "HistogramResult", "IidGaussian", "LimitSample", "LinearProcess", "ModelChoice",
+    "SegmentFit", "Series", "SeriesValidationError", "SingleShiftVolatility", "Target",
     "TileEstimates", "TrimmingPolicy", "UnavailableReason", "VolatilityScaled", "bic_select",
     "bn_decompose", "emergence_limit_draws", "estimate_dates", "estimate_tile", "fit_segment", "generate_errors",
     "preset", "recovery_limit_draws", "run_experiment", "simulate", "validate_series",
@@ -106,6 +106,65 @@ def test_public_namespace_is_pinned():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     for name in PUBLIC_NAMES:
         assert name in exported(ast.parse((PACKAGE / f"{layer_of[name]}.py").read_text())), name
+
+
+def package_imports(tree: ast.Module) -> list:
+    """The package modules a module imports when it is itself imported, that is outside any function.
+
+    Relative and absolute imports count alike: ``from . import a``, ``from .a import x``,
+    ``from bubbledate.a import x`` and ``import bubbledate.a.b`` all name ``a``.
+    """
+    found, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            base = ["bubbledate" if getattr(node, "level", 0) else None, getattr(node, "module", None)]
+            for alias in node.names:
+                parts = ".".join(filter(None, [*base, alias.name])).split(".")
+                if parts[0] == "bubbledate" and len(parts) > 1:
+                    found.add(parts[1])
+    return sorted(found)
+
+
+# each module's package imports at module level: a new dependency between layers edits this table.
+# The limit laws import only streams and types, so they stay independent of the simulator.
+IMPORT_GRAPH = {
+    "__init__": ["asymptotics", "dgp", "estimator", "montecarlo", "types"],
+    "asymptotics": ["rng", "types"],
+    "cli": ["asymptotics", "dataio", "dgp", "estimator", "montecarlo", "types"],
+    "dataio": ["dgp", "estimator", "montecarlo", "types"],
+    "dgp": ["rng", "types"],
+    "estimator": ["types"],
+    "montecarlo": ["dgp", "estimator", "rng", "types"],
+    "rng": ["types"],
+    "types": [],
+}
+
+
+def test_import_graph_is_pinned():
+    assert {path.stem: package_imports(ast.parse(path.read_text())) for path in SOURCES} == IMPORT_GRAPH
+
+
+def test_import_graph_check_reads_module_level_imports_only():
+    tree = ast.parse(
+        "import os, bubbledate, bubbledate.rng\n"
+        "from . import dataio\n"
+        "from .types import Series\n"
+        "from bubbledate.dgp import simulate\n"
+        "from numpy import bubbledate\n"
+        "try:\n"
+        "    from .asymptotics import lfilter\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def run():\n"
+        "    from .montecarlo import preset\n"
+        "class Holder:\n"
+        "    from .estimator import fit_segment\n"
+    )
+    assert package_imports(tree) == ["asymptotics", "dataio", "dgp", "estimator", "rng", "types"]
 
 
 def file_opens(tree: ast.Module, writes: bool) -> list:

@@ -10,7 +10,7 @@ import pytest
 from bubbledate import (
     ConfigError,
     DgpConfig,
-    LinearProcessCoeffs,
+    LinearProcess,
     Series,
     SeriesValidationError,
     SingleShiftVolatility,
@@ -127,6 +127,23 @@ class TestDgpConfig:
                 with pytest.raises(ConfigError, match=f"{name} must be finite"):
                     DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=800, **{name: bad})
 
+    def test_rejects_values_that_are_not_real_numbers(self):
+        base = dict(tau_e=0.4, tau_c=0.6, tau_r=0.7, phi_a=1.05, phi_b=0.96, T=400)
+        for key, bad in (("drift_pre", None), ("y0", "0"), ("phi_a", True), ("tau_e", None)):
+            with pytest.raises(ConfigError, match=f"{key} must be a real number"):
+                DgpConfig(**{**base, key: bad})
+        # T is an integer: a float, even a whole one, and a bool are not
+        for bad in (400.5, 400.0, True, "400"):
+            with pytest.raises(ConfigError, match="T must be an integer"):
+                DgpConfig(**{**base, "T": bad})
+        # every fault is named at once
+        with pytest.raises(ConfigError) as info:
+            DgpConfig(**{**base, "T": None, "y0": None})
+        assert len(info.value.problems) == 2
+        # numpy scalars are numbers
+        cfg = DgpConfig(**{**base, "T": np.int64(400), "phi_a": np.float64(1.05)})
+        assert cfg.break_indices == (160, 240, 280)
+
     def test_validation_matches_independent_predicate(self):
         # the constructor must reject exactly the tuples this plain
         # restatement of the invariants rejects
@@ -168,6 +185,12 @@ class TestTrimmingPolicy:
         with pytest.raises(ConfigError):
             TrimmingPolicy(0.26)
 
+    def test_rejects_values_that_are_not_real_numbers(self):
+        for rho in ("0.1", None, True, np.bool_(True)):
+            with pytest.raises(ConfigError, match="rho must be a real number"):
+                TrimmingPolicy(rho)
+        assert TrimmingPolicy(np.float32(0.125)).margin(80) == 10
+
     def test_margins_baseline(self):
         p = TrimmingPolicy(0.05)
         assert p.margin(800) == 40
@@ -198,6 +221,12 @@ class TestVolatilityProfiles:
         arr = prof.omega(taus)
         assert arr.tolist() == [2.0 if t > 0.3 else 0.5 for t in taus]
 
+    def test_single_shift_rejects_values_that_are_not_real_numbers(self):
+        for fields in ((None, 1.0), ("1", 1.0), (1.0, 2.0, True)):
+            with pytest.raises(ConfigError, match="must be a real number"):
+                SingleShiftVolatility(*fields)
+        assert SingleShiftVolatility(np.float64(1.0), np.int64(2)).omega(0.9) == 2.0
+
     def test_single_shift_validation(self):
         with pytest.raises(ConfigError):
             SingleShiftVolatility(sigma0=1.0, sigma1=-1.0, tau_sigma=0.5)
@@ -205,17 +234,24 @@ class TestVolatilityProfiles:
             SingleShiftVolatility(sigma0=1.0, sigma1=2.0, tau_sigma=1.0)
 
 
-class TestLinearProcessCoeffs:
-    def test_order_and_array(self):
-        c = LinearProcessCoeffs((1.0, 0.5, 0.25))
-        assert c.order == 2
-        assert c.as_array().tolist() == [1.0, 0.5, 0.25]
+class TestLinearProcess:
+    def test_psi_is_a_tuple_of_floats(self):
+        # the simulator filters with psi and bn_decompose sums it: both read this one stored form
+        for given in ((1, 0.5, np.float32(0.25)), [1.0, 0.5, 0.25], np.array([1.0, 0.5, 0.25])):
+            psi = LinearProcess(given).psi
+            assert psi == (1.0, 0.5, 0.25)
+            assert type(psi) is tuple and all(type(p) is float for p in psi)
 
     def test_rejects_empty_or_nonfinite(self):
         with pytest.raises(ConfigError):
-            LinearProcessCoeffs(())
+            LinearProcess(())
         with pytest.raises(ConfigError):
-            LinearProcessCoeffs((1.0, math.nan))
+            LinearProcess((1.0, math.nan))
+
+    def test_rejects_values_that_are_not_real_numbers(self):
+        for psi in ("1.5", ("1.5",), True, (1.0, None), np.ones((2, 2)), ((1.0, 2.0), 3.0)):
+            with pytest.raises(ConfigError, match=r"psi\[\d\] must be a real number"):
+                LinearProcess(psi)
 
 
 def test_errors_survive_pickling():
