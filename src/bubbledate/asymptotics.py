@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .rng import stream
-from .types import ConfigError, LinearProcess
+from .types import ConfigError, LinearProcess, _require_numbers
 
 __all__ = [
     "Discretization",
@@ -77,6 +77,7 @@ class Discretization:
     v_max: float = 50.0
 
     def __post_init__(self):
+        _require_numbers(vars(self))
         problems = []
         if not (self.step > 0.0 and math.isfinite(self.step)):
             problems.append(f"step must be positive, got {self.step}")

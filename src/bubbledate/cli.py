@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--date-column", default=None, help="optional date column name or 0-based index")
     p_est.add_argument("--delimiter", default=",")
     p_est.add_argument("--log", action="store_true", help="estimate on the natural log of the values")
-    p_est.add_argument("--trim", type=float, default=0.05, help="trimming fraction (default 0.05)")
+    p_est.add_argument("--trim", type=float, default=TrimmingPolicy.rho, help="trimming fraction (default %(default)s)")
     p_est.add_argument("--bic", action="store_true", help="also compare 2/3/4-regime fits by BIC")
     p_est.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p_est.add_argument("--curves-out", default=None, help="directory for per-step SSR curve CSVs")
@@ -89,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_lim.add_argument("--draws", type=int, default=10_000)
     p_lim.add_argument("--seed", type=int, required=True)
-    p_lim.add_argument("--step", type=float, default=0.01, help="grid spacing (standard c_b = 1 units for recovery)")
-    p_lim.add_argument("--vmax", type=float, default=50.0,
+    p_lim.add_argument("--step", type=float, default=Discretization.step, help="grid spacing (standard units for recovery)")
+    p_lim.add_argument("--vmax", type=float, default=Discretization.v_max,
                        help="argmax window half-width (standard units for recovery, natural window vmax / cb)")
     p_lim.add_argument("--out", required=True, help="output file prefix")
     return parser

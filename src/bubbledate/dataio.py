@@ -24,7 +24,7 @@ import io
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional, Union, get_type_hints
+from typing import Optional, Union
 
 import numpy as np
 
@@ -212,26 +212,11 @@ def write_series_csv(path: str, series: Series, metadata: Optional[dict] = None)
         write_csv(path, [("date", "value"), *zip(map(_quoted, series.labels), values)], head)
 
 
-# The JSON types that a field annotation, list or dict accepts; a boolean is not a number.
-_JSON_TYPES = {
-    float: ("a number", (int, float)), int: ("an integer", (int,)), bool: ("a boolean", (bool,)),
-    str: ("a string", (str,)), list: ("an array", (list,)), dict: ("a JSON object", (dict,)),
-}
-
-
-def _checked(value, hint, where: str):
-    """value, after checking its JSON type against hint; any other hint accepts any value."""
-    name, types = _JSON_TYPES.get(hint, ("", (object,)))
-    if not isinstance(value, types) or (isinstance(value, bool) and int in types):
-        raise ConfigError([f"{where} must be {name}, got {value!r}"])
-    return value
-
-
-def _array(hint):
-    """Reader of a JSON array of hint scalars, as a tuple."""
-    return lambda value, where: tuple(
-        hint(_checked(v, hint, f"{where} entry")) for v in _checked(value, list, where)
-    )
+def _object(data, what: str) -> dict:
+    """data, after checking that it is a JSON object."""
+    if not isinstance(data, dict):
+        raise ConfigError([f"{what} must be a JSON object, got {data!r}"])
+    return data
 
 
 def _reject_unknown_keys(data: dict, known, what: str) -> None:
@@ -244,16 +229,14 @@ _ERROR_KINDS = {"iid_gaussian": IidGaussian, "volatility_scaled": VolatilityScal
                 "linear_process": LinearProcess}
 _PROFILE_KINDS = {"single_shift": SingleShiftVolatility}
 
-# Fields whose JSON form is not a scalar: (reader(value, where), writer(value)).
+
+# Fields whose JSON form differs in structure from the field: (reader(value), writer(value)).  The targets reader
+# turns each target name into its Target member; anything else passes as read, for ExperimentConfig to reject.
 _CODECS = {
-    "profile": (lambda v, where: _read_kind(_PROFILE_KINDS, v, "volatility profile"),
-                lambda p: _write_kind(_PROFILE_KINDS, p)),
-    "psi": (_array(float), list),
-    "T_grid": (_array(int), list),
-    "phi_a_grid": (_array(float), list),
-    "phi_b_grid": (_array(float), list),
-    "trimming": (lambda v, where: TrimmingPolicy(_checked(v, float, where)), lambda t: t.rho),
-    "targets": (lambda v, where: tuple(map(Target, _array(str)(v, where))), lambda ts: [t.value for t in ts]),
+    "profile": (lambda v: _read_kind(_PROFILE_KINDS, v, "volatility profile"), lambda p: _write_kind(_PROFILE_KINDS, p)),
+    "trimming": (TrimmingPolicy, lambda t: t.rho),
+    "targets": (lambda v: [next((t for t in Target if t.value == x), x) for x in v] if isinstance(v, list) else v,
+                lambda ts: [t.value for t in ts]),
 }
 
 
@@ -261,21 +244,14 @@ def _build(cls, data, what: str):
     """Build the dataclass cls from the JSON object data, raising ConfigError on any fault.
 
     Keys are cls's field names, defaults the fields' own.  A field in _CODECS
-    is read by its codec, any other must have the JSON type of its annotation.
+    is read by its codec; any other value is passed as read, and cls checks it.
     """
     known = {f.name: f for f in fields(cls)}
-    _reject_unknown_keys(_checked(data, dict, what), known, what)
+    _reject_unknown_keys(_object(data, what), known, what)
     missing = [k for k, f in known.items() if k not in data and f.default is MISSING]
     if missing:
         raise ConfigError([f"{what}: missing key(s) {', '.join(map(repr, missing))}"])
-    hints = get_type_hints(cls)
-    try:
-        return cls(**{
-            k: _CODECS[k][0](data[k], f"{what}: {k}") if k in _CODECS else _checked(data[k], hints[k], f"{what}: {k}")
-            for k in known if k in data
-        })
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([f"{what}: {exc}"]) from None
+    return cls(**{k: _CODECS[k][0](v) if k in _CODECS else v for k, v in data.items()})
 
 
 def _to_dict(obj) -> dict:
@@ -288,7 +264,7 @@ def _to_dict(obj) -> dict:
 
 def _read_kind(kinds: dict, data, what: str, default=None):
     """Build the class that data's ``kind`` names in kinds from data's other keys."""
-    kind = _checked(data, dict, what).get("kind", default)
+    kind = _object(data, what).get("kind", default)
     if not (isinstance(kind, str) and kind in kinds):
         raise ConfigError([f"unknown {what} kind {kind!r}; expected one of {', '.join(kinds)}"])
     return _build(kinds[kind], {k: v for k, v in data.items() if k != "kind"}, f"{kind} {what}")
@@ -324,7 +300,7 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict:
 
 def _read_top_level(data, what: str) -> dict:
     """The keys after the schema check, with dgp and errors (default iid_gaussian) read."""
-    version = _checked(data, dict, what).get("schema_version")
+    version = _object(data, what).get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError([f"{what}: unsupported schema_version {version!r}; "
                            f"this build reads version {SCHEMA_VERSION}"])

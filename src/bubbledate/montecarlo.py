@@ -38,6 +38,7 @@ from .types import (
     DgpConfig,
     SingleShiftVolatility,
     TrimmingPolicy,
+    _require_numbers,
 )
 
 __all__ = [
@@ -92,6 +93,21 @@ class ExperimentConfig:
     name: str = "custom"
 
     def __post_init__(self):
+        # every field of a wrong type is named in one ConfigError; the grids and targets are then stored as tuples
+        seqs = {k: getattr(self, k) for k in ("T_grid", "phi_a_grid", "phi_b_grid", "targets")}
+        kinds = {**dict.fromkeys(seqs, ((tuple, list), "a tuple or list")), "dgp": (DgpConfig, "a DgpConfig"),
+                 "errors": (ErrorSpec, "an error spec"), "trimming": (TrimmingPolicy, "a TrimmingPolicy"),
+                 "bic": (bool, "a boolean"), "name": (str, "a string")}
+        problems = [f"{k} must be {what}, got {getattr(self, k)!r}" for k, (cls, what) in kinds.items()
+                    if not isinstance(getattr(self, k), cls)]
+        seqs = {k: tuple(v) if isinstance(v, (tuple, list)) else () for k, v in seqs.items()}
+        problems += [f"targets entries must be Target members ({', '.join(t.value for t in Target)}), got {t!r}"
+                     for t in seqs["targets"] if not isinstance(t, Target)]
+        grids = {f"{k}[{i}]": x for k in ("T_grid", "phi_a_grid", "phi_b_grid") for i, x in enumerate(seqs[k])}
+        _require_numbers({"reps": self.reps, "base_seed": self.base_seed, **grids},
+                         integers=("reps", "base_seed", "T_grid"), problems=problems)
+        for k, cast in (("T_grid", int), ("phi_a_grid", float), ("phi_b_grid", float), ("targets", Target)):
+            object.__setattr__(self, k, tuple(map(cast, seqs[k])))
         problems = []
         if self.reps < 1:
             problems.append(f"reps must be positive, got {self.reps}")
@@ -115,9 +131,9 @@ class ExperimentConfig:
         out = []
         for T in self.T_grid:
             for pa in self.phi_a_grid:
-                out.append(CellKey(T=int(T), phi_a=float(pa), phi_b=self.dgp.phi_b))
+                out.append(CellKey(T=T, phi_a=pa, phi_b=self.dgp.phi_b))
             for pb in self.phi_b_grid:
-                out.append(CellKey(T=int(T), phi_a=self.dgp.phi_a, phi_b=float(pb)))
+                out.append(CellKey(T=T, phi_a=self.dgp.phi_a, phi_b=pb))
         return out
 
     def cell_dgp(self, cell: CellKey) -> DgpConfig:

@@ -8,7 +8,7 @@ bit for bit.
 """
 from __future__ import annotations
 
-import operator
+import numbers
 
 import numpy as np
 
@@ -20,12 +20,11 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
     The same arguments always produce the same stream, and distinct keys
     produce statistically independent streams.  A seed or key that is not
-    an integer (numpy integers are), and a negative seed, raise ConfigError.
+    an integer (numpy integers are; bools are not), and a negative seed, raise ConfigError.
     """
-    try:
-        seed, key = operator.index(seed), tuple(map(operator.index, key))
-    except TypeError:
-        raise ConfigError([f"seed and key must be integers, got {(seed, *key)}"]) from None
+    if any(isinstance(k, (bool, np.bool_)) or not isinstance(k, numbers.Integral) for k in (seed, *key)):
+        raise ConfigError([f"seed and key must be integers, got {(seed, *key)}"])
+    seed, key = int(seed), tuple(map(int, key))
     if seed < 0:
         raise ConfigError([f"seed must be a non-negative integer, got {seed}"])
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)

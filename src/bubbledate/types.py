@@ -106,10 +106,14 @@ def _float_values(values) -> np.ndarray:
         raise SeriesValidationError([f"values must be real numbers: {exc}"]) from None
 
 
-def _require_numbers(values: dict, integers: tuple = ()) -> None:
-    """Raise one ConfigError naming each value that is not a real number, or if named in integers, not an integer; bools are neither."""
-    problems = [f"{k} must be {'an integer' if k in integers else 'a real number'}, got {v!r}" for k, v in values.items()
-                if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Integral if k in integers else numbers.Real)]
+def _require_numbers(values: dict, integers: tuple = (), problems: Sequence[str] = ()) -> None:
+    """Raise one ConfigError listing problems and each value that is not a real number, or, if it is named
+    ``name`` or ``name[i]`` for a name in integers, not an integer; bools are neither."""
+    problems = list(problems)
+    for k, v in values.items():
+        integer = k.partition("[")[0] in integers
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Integral if integer else numbers.Real):
+            problems.append(f"{k} must be {'an integer' if integer else 'a real number'}, got {v!r}")
     if problems:
         raise ConfigError(problems)
 
@@ -132,9 +136,9 @@ class Series:
         ``values``.
 
     Construction raises one :class:`SeriesValidationError` that lists
-    every non-finite observation, a label-length mismatch and a
-    non-finite ``y0`` together; values that are not real numbers raise it
-    at once.
+    every non-finite observation, a label-length mismatch and a ``y0``
+    that is not a finite real number together; values that are not real
+    numbers raise it at once.
     """
 
     values: np.ndarray
@@ -148,8 +152,9 @@ class Series:
         issues = [NonFinite(int(i) + 1) for i in np.nonzero(~np.isfinite(values))[0]]
         if self.labels is not None and len(self.labels) != values.shape[0]:
             issues.append(LabelMismatch(expected=int(values.shape[0]), actual=len(self.labels)))
-        if self.y0 is not None and not math.isfinite(self.y0):
-            issues.append("y0 is not finite")
+        y0 = np.asarray(0.0 if self.y0 is None else self.y0)  # estimate_tile's rule: no bools, strings or arrays
+        if y0.dtype.kind not in "iuf" or y0.ndim or not np.isfinite(y0):
+            issues.append(f"y0 must be None or a finite real number, got {self.y0!r}")
         if issues:
             raise SeriesValidationError(issues)
         values = values.copy()
@@ -275,7 +280,9 @@ class LinearProcess:
     psi: tuple
 
     def __post_init__(self):
-        psi = np.atleast_1d(np.asarray(self.psi, dtype=object))
+        psi = np.asarray(self.psi, dtype=object)
+        if psi.ndim == 0:
+            raise ConfigError([f"psi must be an array, got {self.psi!r}"])
         if len(psi) == 0:
             raise ConfigError(["psi must contain at least one coefficient"])
         _require_numbers({f"psi[{j}]": p for j, p in enumerate(psi)})

@@ -21,11 +21,12 @@ from bubbledate import (
     Discretization,
     IidGaussian,
     Series,
+    TrimmingPolicy,
     estimate_dates,
     recovery_limit_draws,
     simulate,
 )
-from bubbledate.cli import main
+from bubbledate.cli import _build_parser, main
 
 
 def write_value_csv(path, values):
@@ -637,6 +638,13 @@ def test_undecodable_inputs_exit_two(tmp_path, capsys):
                  ["mc", "--config", str(path), "--seed", "1", "--out", out]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith(f"error: cannot open {path}"), argv
+
+
+def test_option_defaults_are_the_config_types_own():
+    parser = _build_parser()
+    assert parser.parse_args(["estimate", "x.csv"]).trim == TrimmingPolicy().rho
+    lim = parser.parse_args(["limitdist", "recovery", "--seed", "0", "--out", "x"])
+    assert (lim.step, lim.vmax) == (Discretization().step, Discretization().v_max)
 
 
 def test_cli_import_loads_no_scipy():

@@ -46,11 +46,13 @@ def test_negative_seed_rejected():
 
 def test_non_integer_seed_or_key_rejected():
     # truncating 3.9 to 3 would hand seed 3's stream to a request that never asked for it
-    for args in ((1.5,), (1, 0.5), (3, 0, 2.0), ("1",), (None,)):
+    for args in ((1.5,), (1, 0.5), (3, 0, 2.0), ("1",), (None,), (True,), (np.True_,), (1, False), (1, 0, np.True_)):
         with pytest.raises(ConfigError, match="integers"):
             stream(*args)
     with pytest.raises(ConfigError, match="integers"):
         simulate(DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=100), IidGaussian(), 3.9)
+    with pytest.raises(ConfigError, match="integers"):
+        simulate(DgpConfig(0.4, 0.6, 0.7, phi_a=1.05, phi_b=0.96, T=100), IidGaussian(), True)
 
 
 def test_numpy_integers_are_seeds_and_keys():

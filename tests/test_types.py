@@ -15,6 +15,7 @@ from bubbledate import (
     SeriesValidationError,
     SingleShiftVolatility,
     TrimmingPolicy,
+    estimate_tile,
     validate_series,
 )
 from bubbledate.types import LabelMismatch, NonFinite, TooShort
@@ -76,6 +77,18 @@ class TestSeries:
     def test_rejects_nonfinite_y0(self):
         with pytest.raises(SeriesValidationError):
             Series(np.ones(50), y0=math.inf)
+
+    def test_y0_is_a_real_number_by_estimate_tiles_rule(self):
+        # a string or a bool is not a presample value, for a Series as for estimate_tile, and nor is an array
+        for bad in ("1", True, np.True_, 1 + 2j, object(), [1.0]):
+            with pytest.raises(SeriesValidationError) as err:
+                Series(np.array([1.0, math.nan, 2.0]), y0=bad)
+            assert err.value.issues == [NonFinite(2), f"y0 must be None or a finite real number, got {bad!r}"]
+            if not isinstance(bad, list):  # a tile takes one y0 per row
+                with pytest.raises(SeriesValidationError):
+                    estimate_tile(np.ones((1, 50)), y0=bad)
+        for good in (1, 2.5, np.float32(0.5), np.int64(-3)):
+            assert Series(np.ones(50), y0=good).y0 == good
 
     def test_rejects_values_that_are_not_real_numbers(self):
         for bad in (["a"] * 40, ["1.5"] * 40, [[1.0] * 3, [1.0] * 2], [1 + 2j] * 40, np.ones(40, dtype=complex),
@@ -249,8 +262,12 @@ class TestLinearProcess:
             LinearProcess((1.0, math.nan))
 
     def test_rejects_values_that_are_not_real_numbers(self):
-        for psi in ("1.5", ("1.5",), True, (1.0, None), np.ones((2, 2)), ((1.0, 2.0), 3.0)):
+        for psi in (("1.5",), (1.0, None), np.ones((2, 2)), ((1.0, 2.0), 3.0)):
             with pytest.raises(ConfigError, match=r"psi\[\d\] must be a real number"):
+                LinearProcess(psi)
+        # psi is 1-d: a bare value, as JSON "psi": 1.5 reads, is not an array
+        for psi in ("1.5", True, 1.5):
+            with pytest.raises(ConfigError, match="psi must be an array"):
                 LinearProcess(psi)
 
 
